@@ -181,17 +181,7 @@ def cmd_cl(args) -> int:
             )
         _emit(rep.to_json_dict(), args)
         return EXIT_OK
-    try:
-        rep = c_l_exact(g, budget=budget, workers=args.workers)
-    except BudgetExceeded as e:
-        rep = SolveReport(
-            c_l=None,
-            certificate=None,
-            nodes_explored=e.nodes_explored,
-            status="inconclusive",
-        )
-        _emit(rep.to_json_dict(), args)
-        return EXIT_BUDGET
+    rep = c_l_exact(g, budget=budget, workers=args.workers)
     _emit(rep.to_json_dict(), args)
     return EXIT_OK if rep.status in ("exact", "none") else EXIT_BUDGET
 

@@ -25,6 +25,7 @@ from .ld import (
     is_ld_mask,
     is_ld_set,
     minimalize_ld_set,
+    singleton_completers,
 )
 
 
@@ -158,7 +159,8 @@ def verify_ldc_partition(g: Graph, p: Partition) -> Union[LdcCertificate, Refusa
             return Refusal(i, f"part {i} has no LD-coalition partner")
         partners.append(partner)
     cert = LdcCertificate(p, tuple(partners))
-    assert cert.verify(g)
+    if not cert.verify(g):
+        raise AssertionError("certificate failed its own re-verification")
     return cert
 
 
@@ -216,20 +218,20 @@ def max_singleton_completers(g: Graph, a) -> tuple[int, list[int]]:
     m = as_mask(g, a)
     if is_ld_mask(g, m):
         raise ValueError("set is already an LD-set")
-    completers = [
-        w for w in bits_of(g.full_mask() & ~m) if is_ld_mask(g, m | (1 << w))
-    ]
+    completers = singleton_completers(g, m)
     return len(completers), completers
 
 
 # -- constructive builders -----------------------------------------------
 
 
-def _certify(g: Graph, masks: list[int], builder: str) -> LdcCertificate:
+def certify_masks(g: Graph, masks: list[int], producer: str) -> LdcCertificate:
+    """Certificate of a partition given as masks; a refusal means the
+    producer is broken, so it raises instead of returning."""
     p = Partition([VertexSet(m, g.n) for m in masks], g.n)
     res = verify_ldc_partition(g, p)
     if isinstance(res, Refusal):
-        raise AssertionError(f"{builder} produced an invalid partition: {res.reason}")
+        raise AssertionError(f"{producer} produced an invalid partition: {res.reason}")
     return res
 
 
@@ -240,7 +242,7 @@ def build_diam3_partition(g: Graph) -> LdcCertificate:
         raise ValueError(f"diameter {d} < 3: construction does not apply")
     closed = (g.adj[x] | (1 << x))
     rest = g.full_mask() & ~closed
-    return _certify(g, [closed, rest], "build_diam3_partition")
+    return certify_masks(g, [closed, rest], "build_diam3_partition")
 
 
 def find_twins(g: Graph) -> Optional[tuple[int, int]]:
@@ -261,7 +263,7 @@ def build_twin_partition(g: Graph) -> LdcCertificate:
         raise ValueError("graph has no twins")
     u, v = tw
     x = (1 << u) | (1 << v)
-    return _certify(g, [x, g.full_mask() & ~x], "build_twin_partition")
+    return certify_masks(g, [x, g.full_mask() & ~x], "build_twin_partition")
 
 
 def build_halves_partition(g: Graph) -> LdcCertificate:
@@ -270,14 +272,14 @@ def build_halves_partition(g: Graph) -> LdcCertificate:
     LD-sets)."""
     n = g.n
     if n == 3:
-        return _certify(g, [1 << v for v in range(3)], "build_halves_partition")
+        return certify_masks(g, [1 << v for v in range(3)], "build_halves_partition")
     if n < 3:
         raise ValueError("construction needs order at least 3")
     need = (n + 1) // 2
     if gamma_l_value(g) <= need:
         raise ValueError(f"gamma_l does not exceed ceil(n/2) = {need}")
     x = (1 << (n // 2)) - 1
-    return _certify(g, [x, g.full_mask() & ~x], "build_halves_partition")
+    return certify_masks(g, [x, g.full_mask() & ~x], "build_halves_partition")
 
 
 def _split_minimal_ld(g: Graph, m: int) -> tuple[int, int]:
@@ -355,6 +357,6 @@ def build_from_domatic(g: Graph) -> LdcCertificate:
         else:
             parts = parts + [a, b | residue]
 
-    cert = _certify(g, parts, "build_from_domatic")
+    cert = certify_masks(g, parts, "build_from_domatic")
     assert len(cert) >= 2 * k
     return cert

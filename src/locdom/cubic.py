@@ -9,8 +9,8 @@ from typing import Optional
 
 from .coalition import LdcCertificate, Partition, partner_count, verify_ldc_partition
 from .families import complete, complete_bipartite
-from .graph import Graph, VertexSet, bits_of, closed_mask, is_connected, popcount
-from .ld import is_ld_mask
+from .graph import Graph, VertexSet, bits_of, is_connected
+from .ld import is_dominating, is_ld_mask, singleton_completers
 
 
 def is_cubic(g: Graph) -> bool:
@@ -77,28 +77,18 @@ def cubic_candidates(max_order: int = 12) -> list[Graph]:
     return out
 
 
-def completing_vertices(g: Graph, m: int) -> list[int]:
-    """Vertices outside the non-LD set m whose addition yields an LD-set."""
-    return [
-        w for w in bits_of(g.full_mask() & ~m) if is_ld_mask(g, m | (1 << w))
-    ]
-
-
 def six_completer_witnesses(g: Graph) -> list[tuple[VertexSet, list[int]]]:
     """All dominating non-LD sets of g with exactly six completing
     vertices, smallest sets first."""
-    full = g.full_mask()
     out = []
     for size in range(1, g.n - 6 + 1):
         for combo in combinations(range(g.n), size):
             m = 0
             for v in combo:
                 m |= 1 << v
-            if closed_mask(g, m) != full:
+            if not is_dominating(g, m) or is_ld_mask(g, m):
                 continue
-            if is_ld_mask(g, m):
-                continue
-            cs = completing_vertices(g, m)
+            cs = singleton_completers(g, m)
             if len(cs) == 6:
                 out.append((VertexSet(m, g.n), cs))
     return out

@@ -10,8 +10,8 @@ from itertools import combinations
 
 from .census import enumerate_graphs, enumerate_trees
 from .families import cycle, path, spider
-from .graph import Graph, VertexSet, bits_of, popcount
-from .ld import gamma_l_value, is_ld_mask
+from .graph import Graph, VertexSet, bits_of, closed_mask, popcount
+from .ld import gamma_l_value, is_ld_mask, singleton_completers
 from .solver import (
     c_l_at_least,
     c_l_exact,
@@ -126,12 +126,6 @@ def c_l_path_formula(n: int) -> int:
 # -- the C_15 completer lemmas -------------------------------------------
 
 
-def _completers_mask(g: Graph, m: int) -> list[int]:
-    return [
-        w for w in bits_of(g.full_mask() & ~m) if is_ld_mask(g, m | (1 << w))
-    ]
-
-
 def _connected_within(g: Graph, mask: int) -> bool:
     if mask == 0:
         return True
@@ -164,7 +158,7 @@ def verify_lemma_ld5_1() -> dict:
         if is_ld_mask(g, m):
             violations.append(("five_set_already_ld", combo))
             continue
-        cs = _completers_mask(g, m)
+        cs = singleton_completers(g, m)
         if len(cs) > 1:
             violations.append(("more_than_one_completer", combo, cs))
         elif len(cs) == 1:
@@ -212,12 +206,10 @@ def verify_lemma_ld5_2() -> dict:
         if ld:
             ld_sets += 1
             continue
-        cs = _completers_mask(g, m)
+        cs = singleton_completers(g, m)
         k = len(cs)
         histogram[k] = histogram.get(k, 0) + 1
-        closed = m
-        for v in combo:
-            closed |= g.adj[v]
+        closed = closed_mask(g, m)
         undominated = popcount(full_mask & ~closed)
         connected = _connected_within(g, closed)
         if k > partner_cap:

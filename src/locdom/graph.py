@@ -195,7 +195,8 @@ class Graph:
     def relabeled(self, perm: Iterable[int], name: str = "") -> "Graph":
         """Image of the graph under vertex -> perm[vertex]."""
         p = list(perm)
-        assert sorted(p) == list(range(self.n)), "not a permutation"
+        if sorted(p) != list(range(self.n)):
+            raise ValueError(f"not a permutation of 0..{self.n - 1}")
         return Graph(self.n, [(p[u], p[v]) for u, v in self.edges()], name=name)
 
     def with_name(self, name: str) -> "Graph":

@@ -60,6 +60,11 @@ def is_ld_mask(g: Graph, m: int) -> bool:
     return True
 
 
+def singleton_completers(g: Graph, m: int) -> list[int]:
+    """Vertices w outside the mask m for which m | {w} is an LD-set."""
+    return [w for w in bits_of(g.full_mask() & ~m) if is_ld_mask(g, m | (1 << w))]
+
+
 @dataclass(frozen=True)
 class LdVerdict:
     """Outcome of an LD-set check with a concrete witness on failure.
@@ -202,7 +207,8 @@ def gamma_l(g: Graph) -> tuple[int, VertexSet]:
         hit = _colex_least_ld(g, k, cadj)
         if hit is not None:
             # size sanity bound: n <= 2^k + k - 1 must hold for the optimum
-            assert g.n <= (1 << k) + k - 1, "size bound violated by computed gamma_l"
+            if g.n > (1 << k) + k - 1:
+                raise AssertionError("size bound violated by computed gamma_l")
             return k, VertexSet(hit, g.n)
     raise AssertionError("unreachable: V itself is an LD-set")
 

@@ -5,9 +5,9 @@ k the multisets of part sizes (types, largest first) are screened by two
 arguments that need no assignment search at all (a part size with no
 possible partner, a part size forced to carry too many partners), and
 surviving types go to a slot-sequential assignment search with symmetry
-breaking and incremental partner checks.  The same engine, with domination
-in place of location-domination and singleton dominating parts admitted,
-computes the plain coalition number.
+breaking and incremental partner checks.  The search takes the predicate
+parts are judged by: ld.is_ld_mask for C_L, ld.is_dominating for the plain
+coalition number, where a dominating singleton may also stand alone.
 """
 
 from __future__ import annotations
@@ -18,16 +18,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator, Optional, Union
 
-from .coalition import LdcCertificate, Partition, Refusal, verify_ldc_partition
-from .graph import (
-    DisconnectedGraphError,
-    Graph,
-    VertexSet,
-    bits_of,
-    is_connected,
-    popcount,
-)
-from .ld import colex_subsets, gamma_l_value, is_ld_mask
+from .coalition import LdcCertificate, certify_masks
+from .graph import DisconnectedGraphError, Graph, bits_of, is_connected, popcount
+from .ld import colex_subsets, gamma_l_value, is_dominating, is_ld_mask
 
 SCHEMA_VERSION = 1
 
@@ -119,30 +112,9 @@ def type_labels(sizes: tuple[int, ...], gamma: int, max_partners: int) -> frozen
     a part forced to partner more parts than any one part may carry
     (max_partners).  Empty set: the type survives to assignment search.
 
-    Assumes every part needs a partner (the location-domination setting).
+    A size-1 part is exempt when gamma <= 1: it may be a good singleton
+    standing alone, which needs no partner.
     """
-    k = len(sizes)
-    possible = []
-    for j in range(k):
-        pj = frozenset(
-            i for i in range(k) if i != j and sizes[i] + sizes[j] >= gamma
-        )
-        if not pj:
-            return frozenset({1})
-        possible.append(pj)
-    for i in range(k):
-        forced = sum(1 for j in range(k) if j != i and possible[j] == frozenset({i}))
-        if forced > max_partners:
-            return frozenset({1, 2})
-    return frozenset()
-
-
-def _plain_type_labels(
-    sizes: tuple[int, ...], gamma: int, max_partners: int
-) -> frozenset:
-    """Type screening for plain coalitions.  A singleton may instead be a
-    dominating set needing no partner, so when gamma = 1 size-1 parts are
-    never refutable from sizes alone."""
     k = len(sizes)
     possible = []
     for j in range(k):
@@ -164,72 +136,65 @@ def _plain_type_labels(
 
 # -- assignment search ---------------------------------------------------
 
+# Set in pool workers: once one type settles the answer, the parent sets it
+# and the searches still running stop at their next check.
+_stop = None
 
-def _dominates(g: Graph, m: int) -> bool:
-    cov = m
-    for v in bits_of(m):
-        cov |= g.adj[v]
-    return cov == g.full_mask()
+
+def _worker_init(stop) -> None:
+    global _stop
+    _stop = stop
 
 
 class _Engine:
     """Slot-sequential assignment search for one part-size type.
 
-    Slots are filled in capacity-descending order with lexicographic
-    combinations from the remaining pool; equal-capacity slots keep their
-    least elements increasing, and with rotation_root set (vertex-transitive
-    callers only) the first slot must contain vertex 0.  After each
-    placement: the part must not already be valid alone, every placed part
-    must have an exact partner or an optimistic one through the untouched
-    pool, and once the remaining slots are too small to partner a
-    singleton, enough pool vertices must complete some placed part to fill
-    every remaining singleton slot.
+    good(g, mask) is the predicate parts are judged by (is_ld_mask or
+    is_dominating) and gamma the size of the least good set.  Slots are
+    filled in capacity-descending order with lexicographic combinations
+    from the remaining pool; equal-capacity slots keep their least elements
+    increasing, and with rotation_root set (vertex-transitive callers only)
+    the first slot must contain vertex 0.  After each placement: the part
+    must not already be good alone, unless it is a singleton and
+    gamma <= 1 (then it stands alone and needs no partner); every placed
+    part must have an exact partner or an optimistic one through the
+    untouched pool; and once the remaining slots are too small to partner
+    a singleton, enough pool vertices must complete some placed part (or
+    stand alone) to fill every remaining singleton slot.
     """
 
     def __init__(
         self,
         g: Graph,
         gamma: int,
-        mode: str = "ld",
+        good,
         deadline: Optional[float] = None,
         node_cap: Optional[int] = None,
         rotation_root: bool = False,
     ):
-        assert mode in ("ld", "dom")
         self.g = g
         self.gamma = gamma
-        self.mode = mode
+        self.good = good
         self.deadline = deadline
         self.node_cap = node_cap
         self.rotation_root = rotation_root
         self.nodes = 0
 
-    def _good_alone(self, m: int) -> bool:
-        if self.mode == "ld":
-            return is_ld_mask(self.g, m)
-        return _dominates(self.g, m)
-
-    def _union_ok(self, a: int, b: int) -> bool:
-        if self.mode == "ld":
-            return is_ld_mask(self.g, a | b)
-        return _dominates(self.g, a | b)
-
-    def _standalone(self, m: int) -> bool:
-        """Part needs no partner: dominating singletons, plain mode only."""
-        return self.mode == "dom" and popcount(m) == 1 and _dominates(self.g, m)
-
     def _tick(self):
         self.nodes += 1
         if self.node_cap is not None and self.nodes > self.node_cap:
             raise BudgetExceeded("node budget exceeded", self.nodes)
-        if self.deadline is not None and self.nodes % 256 == 0:
-            if time.monotonic() > self.deadline:
+        if self.nodes % 256 == 0:
+            if self.deadline is not None and time.monotonic() > self.deadline:
                 raise BudgetExceeded("time budget exceeded", self.nodes)
+            if _stop is not None and _stop.is_set():
+                raise BudgetExceeded("another type settled the answer", self.nodes)
 
     def search_type(self, caps: tuple[int, ...]) -> Optional[list[int]]:
         """Masks of a partition realizing the type, or None (exhausted)."""
         g = self.g
         gamma = self.gamma
+        good = self.good
         k = len(caps)
         singles_after = [0] * (k + 1)
         for i in range(k - 1, -1, -1):
@@ -255,8 +220,10 @@ class _Engine:
                 m = 0
                 for v in combo:
                     m |= 1 << v
-                standalone = self._standalone(m)
-                if cap >= gamma and not standalone and self._good_alone(m):
+                # gamma <= 1 only for plain coalitions: every connected graph
+                # of order >= 3 has gamma_l >= 2, and C_L searches only those
+                standalone = cap == 1 and gamma <= 1 and good(g, m)
+                if cap >= gamma and not standalone and good(g, m):
                     continue
                 rest = pool & ~m
                 needs_i = not standalone
@@ -266,7 +233,7 @@ class _Engine:
                         if (
                             needs[j]
                             and not (new_settled[j] and new_settled[i])
-                            and self._union_ok(parts[j], m)
+                            and good(g, parts[j] | m)
                         ):
                             new_settled[j] = True
                             new_settled[i] = True
@@ -274,7 +241,7 @@ class _Engine:
                 for j in range(i + 1):
                     if not new_settled[j]:
                         base = parts[j] if j < i else m
-                        if not self._union_ok(base, rest):
+                        if not good(g, base | rest):
                             ok = False
                             break
                 if ok:
@@ -284,14 +251,14 @@ class _Engine:
                         cands = [p for j, p in enumerate(parts) if needs[j]]
                         if needs_i:
                             cands.append(m)
-                        good = 0
+                        completers = 0
                         for w in bits_of(rest):
                             wbit = 1 << w
-                            if self._standalone(wbit) or any(
-                                self._union_ok(p, wbit) for p in cands
+                            if (gamma <= 1 and good(g, wbit)) or any(
+                                good(g, p | wbit) for p in cands
                             ):
-                                good += 1
-                        if good < s:
+                                completers += 1
+                        if completers < s:
                             ok = False
                 if ok:
                     parts.append(m)
@@ -312,12 +279,12 @@ def _search_one_type(
     g: Graph,
     gamma: int,
     caps: tuple[int, ...],
-    mode: str,
+    good,
     deadline: Optional[float],
     node_cap: Optional[int],
     rotation_root: bool,
 ) -> tuple[str, Optional[list[int]], int]:
-    eng = _Engine(g, gamma, mode, deadline, node_cap, rotation_root)
+    eng = _Engine(g, gamma, good, deadline, node_cap, rotation_root)
     try:
         res = eng.search_type(caps)
     except BudgetExceeded as exc:
@@ -326,17 +293,17 @@ def _search_one_type(
 
 
 def _worker_task(args) -> tuple[str, Optional[list[int]], int]:
-    n, edges, gamma, caps, mode, seconds_left, node_cap, rotation = args
+    n, edges, gamma, caps, good, seconds_left, node_cap, rotation = args
     g = Graph(n, edges)
     deadline = None if seconds_left is None else time.monotonic() + seconds_left
-    return _search_one_type(g, gamma, caps, mode, deadline, node_cap, rotation)
+    return _search_one_type(g, gamma, caps, good, deadline, node_cap, rotation)
 
 
 def _run_types(
     g: Graph,
     gamma: int,
     types: list[tuple[int, ...]],
-    mode: str,
+    good,
     deadline: Optional[float],
     node_budget: Optional[int],
     nodes_so_far: int,
@@ -347,6 +314,10 @@ def _run_types(
 
     Returns (status, masks or None, total nodes).  status "budget" means
     some type ran out before an answer and no earlier type was satisfiable.
+    Pooled types are answered in order, so the total counts the same types
+    at any worker count.  Once a type settles the answer the workers are
+    stopped through a shared flag and joined, never terminated: a worker
+    killed while holding the result queue's lock hangs Pool.terminate().
     """
     nodes = nodes_so_far
     if workers > 1 and len(types) > 1:
@@ -355,37 +326,31 @@ def _run_types(
             return ("budget", None, nodes)
         per_cap = None if node_budget is None else max(0, node_budget - nodes)
         payload = [
-            (g.n, g.edges(), gamma, caps, mode, seconds_left, per_cap, rotation_root)
+            (g.n, g.edges(), gamma, caps, good, seconds_left, per_cap, rotation_root)
             for caps in types
         ]
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=workers) as pool:
+        stop = ctx.Event()
+        pool = ctx.Pool(workers, initializer=_worker_init, initargs=(stop,))
+        try:
             for status, masks, used in pool.imap(_worker_task, payload):
                 nodes += used
-                if status == "sat":
-                    pool.terminate()
-                    return ("sat", masks, nodes)
-                if status == "budget":
-                    pool.terminate()
-                    return ("budget", None, nodes)
-        return ("unsat", None, nodes)
+                if status != "unsat":
+                    return (status, masks, nodes)
+            return ("unsat", None, nodes)
+        finally:
+            stop.set()
+            pool.close()
+            pool.join()
     for caps in types:
         per_cap = None if node_budget is None else max(0, node_budget - nodes)
         status, masks, used = _search_one_type(
-            g, gamma, caps, mode, deadline, per_cap, rotation_root
+            g, gamma, caps, good, deadline, per_cap, rotation_root
         )
         nodes += used
         if status != "unsat":
             return (status, masks, nodes)
     return ("unsat", None, nodes)
-
-
-def _certify_masks(g: Graph, masks: list[int]) -> LdcCertificate:
-    p = Partition([VertexSet(m, g.n) for m in masks], g.n)
-    res = verify_ldc_partition(g, p)
-    if isinstance(res, Refusal):
-        raise AssertionError(f"search returned an invalid partition: {res.reason}")
-    return res
 
 
 def c_l_exact(
@@ -429,7 +394,7 @@ def c_l_exact(
             g,
             gamma,
             survivors,
-            "ld",
+            is_ld_mask,
             deadline,
             budget.nodes,
             nodes,
@@ -437,7 +402,7 @@ def c_l_exact(
             workers,
         )
         if status == "sat":
-            cert = _certify_masks(g, masks)
+            cert = certify_masks(g, masks, "the C_L search")
             return SolveReport(
                 c_l=k,
                 certificate=cert,
@@ -505,7 +470,7 @@ def c_l_at_least(
         g,
         gamma,
         survivors,
-        "ld",
+        is_ld_mask,
         deadline,
         budget.nodes,
         0,
@@ -515,7 +480,7 @@ def c_l_at_least(
     if status == "budget":
         raise BudgetExceeded(f"search at size {k} ran out of budget", nodes)
     if status == "sat":
-        return _certify_masks(g, masks)
+        return certify_masks(g, masks, "the C_L search")
     return None
 
 
@@ -545,44 +510,42 @@ def _rgs_masks(rgs: list[int]) -> list[int]:
     return masks
 
 
-def _valid_coalition_partition(g: Graph, masks: list[int], mode: str) -> bool:
-    eng = _Engine(g, 0, mode)
+def _valid_coalition_partition(
+    g: Graph, masks: list[int], good, singletons_alone: bool
+) -> bool:
     for idx, m in enumerate(masks):
-        if eng._standalone(m):
-            continue
-        if eng._good_alone(m):
+        if good(g, m):
+            if singletons_alone and popcount(m) == 1:
+                continue
             return False
         if not any(
-            j != idx
-            and not eng._standalone(other)
-            and not eng._good_alone(other)
-            and eng._union_ok(m, other)
+            j != idx and not good(g, other) and good(g, m | other)
             for j, other in enumerate(masks)
         ):
             return False
     return True
 
 
-def c_l_oracle(g: Graph) -> Union[int, str]:
-    """Unpruned all-partitions maximum; reference oracle for small n."""
+def c_l_oracle(g: Graph, good=None) -> Union[int, str]:
+    """Unpruned all-partitions maximum; reference oracle for small n.
+
+    With no predicate this is C_L by its definition: every part is non-LD
+    and has a partner, so K_1 and K_2 get "none".  Given a predicate, it
+    is the coalition number of that predicate in the plain sense, where a
+    singleton satisfying the predicate may also stand alone as a part;
+    good=is_dominating gives the plain coalition number.
+    """
     if not is_connected(g):
         raise DisconnectedGraphError("C_L search requires a connected graph")
+    singletons_alone = good is not None
+    if good is None:
+        good = is_ld_mask
     best = 0
     for rgs in _set_partitions(g.n):
         masks = _rgs_masks(rgs)
-        if len(masks) > best and _valid_coalition_partition(g, masks, "ld"):
-            best = len(masks)
-    return best if best else "none"
-
-
-def plain_coalition_oracle(g: Graph) -> Union[int, str]:
-    """Unpruned all-partitions maximum for plain domination coalitions."""
-    if not is_connected(g):
-        raise DisconnectedGraphError("coalition search requires a connected graph")
-    best = 0
-    for rgs in _set_partitions(g.n):
-        masks = _rgs_masks(rgs)
-        if len(masks) > best and _valid_coalition_partition(g, masks, "dom"):
+        if len(masks) > best and _valid_coalition_partition(
+            g, masks, good, singletons_alone
+        ):
             best = len(masks)
     return best if best else "none"
 
@@ -590,7 +553,7 @@ def plain_coalition_oracle(g: Graph) -> Union[int, str]:
 def _domination_number(g: Graph) -> int:
     for size in range(1, g.n + 1):
         for m in colex_subsets(g.n, size):
-            if _dominates(g, m):
+            if is_dominating(g, m):
                 return size
     raise AssertionError("V itself always dominates")
 
@@ -619,16 +582,23 @@ def plain_coalition_number(
     nodes = 0
     for k in range(kmax, 0, -1):
         survivors = [
-            t
-            for t in partitions_of_int(g.n, k)
-            if not _plain_type_labels(t, gamma, cap)
+            t for t in partitions_of_int(g.n, k) if not type_labels(t, gamma, cap)
         ]
         status, masks, nodes = _run_types(
-            g, gamma, survivors, "dom", deadline, budget.nodes, nodes, False, workers
+            g,
+            gamma,
+            survivors,
+            is_dominating,
+            deadline,
+            budget.nodes,
+            nodes,
+            False,
+            workers,
         )
         if status == "budget":
             raise BudgetExceeded(f"search at size {k} ran out of budget", nodes)
         if status == "sat":
-            assert _valid_coalition_partition(g, masks, "dom")
+            if not _valid_coalition_partition(g, masks, is_dominating, True):
+                raise AssertionError("search returned an invalid coalition partition")
             return k
     return "none"

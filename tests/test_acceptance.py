@@ -45,6 +45,7 @@ from locdom.families import (
 from locdom.ld import (
     d_loc,
     gamma_l_value,
+    is_dominating,
     is_ld_set,
     slater_log_lower_bound,
     slater_upper_check,
@@ -278,6 +279,7 @@ def test_criterion_10_oracle_equivalence():
     for n in range(1, 7):
         for g in enumerate_graphs(n, connected_only=True):
             assert c_l_numeric(c_l_exact(g).c_l) == c_l_numeric(c_l_oracle(g)), g
+            assert plain_coalition_number(g) == c_l_oracle(g, is_dominating), g
             checked += 1
     elapsed = time.monotonic() - start
     assert checked == 143

@@ -98,3 +98,8 @@ def test_relabeled_preserves_structure():
     g = path(4)
     h = g.relabeled([3, 2, 1, 0])
     assert sorted(h.edges()) == [(0, 1), (1, 2), (2, 3)]
+
+
+def test_relabeled_rejects_non_permutation():
+    with pytest.raises(ValueError):
+        path(4).relabeled([0, 0, 1, 2])

@@ -1,3 +1,5 @@
+import multiprocessing.pool
+
 import pytest
 
 from locdom.families import complete, cycle, path
@@ -60,6 +62,23 @@ def test_workers_and_rotation_flag():
     assert a.c_l == b.c_l == 5
 
 
+def test_pool_never_terminates_live_workers(monkeypatch):
+    # a worker killed while holding the result queue's lock hangs
+    # Pool.terminate(), so the solver must stop and join its workers
+    terminate = multiprocessing.pool.Pool.terminate
+
+    def checked_terminate(pool):
+        alive = sum(p.is_alive() for p in pool._pool)
+        if alive:
+            raise AssertionError(f"terminate() called with {alive} live workers")
+        terminate(pool)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", checked_terminate)
+    rep = c_l_exact(cycle(10), workers=2)
+    assert (rep.c_l, rep.nodes_explored) == (5, 2347)
+    assert c_l_exact(cycle(10)).nodes_explored == 2347
+
+
 def test_budget_exhaustion():
     rep = c_l_exact(cycle(14), budget=Budget(seconds=0.05))
     assert rep.status == "inconclusive"
@@ -98,6 +117,9 @@ def test_type_labels():
     assert type_labels((6, 5, 1, 1, 1, 1), 6, 4) == frozenset()
     assert 1 in type_labels((2, 1, 1, 1, 1, 1), 3, 4)
     assert type_labels((4, 4, 2, 2, 2, 1), 6, 4) == frozenset({1})
+    # with gamma <= 1 a singleton may stand alone, so it forces no partner
+    assert type_labels((1, 1), 1, 0) == frozenset()
+    assert type_labels((2, 2), 1, 0) == frozenset({1, 2})
 
 
 def test_plain_coalition_number():

@@ -198,7 +198,8 @@ def coalition_graph(g: Graph, p: Partition) -> CoalitionGraph:
         if is_ld_mask(g, masks[i] | masks[j])
     ]
     cg = Graph(k, edges, name="coalition")
-    assert cg.min_degree() >= 1, "every part of an LDC-partition has a partner"
+    if cg.min_degree() < 1:
+        raise AssertionError("every part of an LDC-partition has a partner")
     labels = tuple(repr(part) for part in p)
     return CoalitionGraph(cg, labels)
 
@@ -209,7 +210,8 @@ def partner_count(g: Graph, p: Partition, i: int) -> int:
     if not (0 <= i < len(p)):
         raise IndexError(f"part index {i} out of range")
     count = cg.graph.degree(i)
-    assert 1 <= count <= 2 * g.max_degree()
+    if not 1 <= count <= 2 * g.max_degree():
+        raise AssertionError(f"part {i} has {count} partners, outside [1, 2*Delta]")
     return count
 
 
@@ -350,7 +352,8 @@ def build_from_domatic(g: Graph) -> LdcCertificate:
         residue = last & ~last_core
         # were the residue an LD-set, the cores plus it would form more than
         # d_loc disjoint LD-sets
-        assert not is_ld_mask(g, residue), "residue contradicts maximality of d_loc"
+        if is_ld_mask(g, residue):
+            raise AssertionError("residue contradicts maximality of d_loc")
         with_pair = parts + [a, b]
         if any(is_ld_mask(g, residue | q) for q in with_pair):
             parts = with_pair + [residue]
@@ -358,5 +361,6 @@ def build_from_domatic(g: Graph) -> LdcCertificate:
             parts = parts + [a, b | residue]
 
     cert = certify_masks(g, parts, "build_from_domatic")
-    assert len(cert) >= 2 * k
+    if len(cert) < 2 * k:
+        raise AssertionError(f"only {len(cert)} parts, below 2 * d_loc = {2 * k}")
     return cert

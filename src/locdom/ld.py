@@ -293,7 +293,8 @@ def d_loc(g: Graph) -> DomaticResult:
         classes = _domatic_partition(g, k)
         if classes is not None:
             parts = tuple(VertexSet(c, g.n) for c in classes)
-            assert all(is_ld_mask(g, c) for c in classes)
+            if not all(is_ld_mask(g, c) for c in classes):
+                raise AssertionError("d_loc search returned a non-LD class")
             return DomaticResult(k, parts)
     return DomaticResult(1, (VertexSet(g.full_mask(), g.n),))
 
@@ -318,5 +319,6 @@ def slater_upper_check(g: Graph) -> bool:
     if g.n < 2:
         raise ValueError("characterization applies to graphs of order >= 2")
     value = gamma_l_value(g)
-    assert value <= g.n - 1, "upper bound gamma_l <= n-1 violated"
+    if value > g.n - 1:
+        raise AssertionError("upper bound gamma_l <= n-1 violated")
     return (value == g.n - 1) == (is_star(g) or is_complete(g))

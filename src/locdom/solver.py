@@ -12,6 +12,7 @@ coalition number, where a dominating singleton may also stand alone.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import time
 from dataclasses import dataclass, field
@@ -161,6 +162,17 @@ class _Engine:
     untouched pool; and once the remaining slots are too small to partner
     a singleton, enough pool vertices must complete some placed part (or
     stand alone) to fill every remaining singleton slot.
+
+    Two caches, one per engine, sit in front of good.  verdict(mask) is
+    good(g, mask) memoized, so each distinct mask is judged once: the
+    search asks about a few thousand masks a million times.
+    completers(p) is the mask of every w outside the part p with
+    good(p | {w}), and alone holds the good singletons when gamma <= 1
+    (else 0).  The singleton shortfall is then a popcount of the pool
+    against the completer_reach of the placed parts, which place() carries
+    down once the prune applies (it applies at every deeper slot too).
+    Both fill lazily: a search touches a small, graph-dependent share of
+    the 2^n masks, and Graph allows n up to 128.
     """
 
     def __init__(
@@ -174,11 +186,26 @@ class _Engine:
     ):
         self.g = g
         self.gamma = gamma
-        self.good = good
         self.deadline = deadline
         self.node_cap = node_cap
         self.rotation_root = rotation_root
         self.nodes = 0
+        full = g.full_mask()
+        self.verdict = verdict = functools.cache(lambda m: good(g, m))
+        self.completers = functools.cache(
+            lambda p: sum(1 << w for w in bits_of(full & ~p) if verdict(p | 1 << w))
+        )
+        self.alone = 0
+        if gamma <= 1:
+            self.alone = sum(1 << w for w in range(g.n) if verdict(1 << w))
+
+    def completer_reach(self, cands) -> int:
+        """Vertices that complete some part in cands to a good set, or
+        that are good alone."""
+        reach = self.alone
+        for p in cands:
+            reach |= self.completers(p)
+        return reach
 
     def _tick(self):
         self.nodes += 1
@@ -194,7 +221,8 @@ class _Engine:
         """Masks of a partition realizing the type, or None (exhausted)."""
         g = self.g
         gamma = self.gamma
-        good = self.good
+        verdict = self.verdict
+        completers = self.completers
         k = len(caps)
         singles_after = [0] * (k + 1)
         for i in range(k - 1, -1, -1):
@@ -204,7 +232,11 @@ class _Engine:
         mins: list[int] = []  # least element per placed part
         needs: list[bool] = []  # placed part needs (and can be) a partner
 
-        def place(i: int, pool: int, settled: list[bool]) -> Optional[list[int]]:
+        # reach: completer_reach of the placed parts, None until the
+        # singleton-shortfall prune first applies
+        def place(
+            i: int, pool: int, settled: list[bool], reach: Optional[int]
+        ) -> Optional[list[int]]:
             if i == k:
                 return parts[:] if all(settled) else None
             cap = caps[i]
@@ -222,8 +254,8 @@ class _Engine:
                     m |= 1 << v
                 # gamma <= 1 only for plain coalitions: every connected graph
                 # of order >= 3 has gamma_l >= 2, and C_L searches only those
-                standalone = cap == 1 and gamma <= 1 and good(g, m)
-                if cap >= gamma and not standalone and good(g, m):
+                standalone = cap == 1 and gamma <= 1 and verdict(m)
+                if cap >= gamma and not standalone and verdict(m):
                     continue
                 rest = pool & ~m
                 needs_i = not standalone
@@ -233,7 +265,7 @@ class _Engine:
                         if (
                             needs[j]
                             and not (new_settled[j] and new_settled[i])
-                            and good(g, parts[j] | m)
+                            and verdict(parts[j] | m)
                         ):
                             new_settled[j] = True
                             new_settled[i] = True
@@ -241,30 +273,26 @@ class _Engine:
                 for j in range(i + 1):
                     if not new_settled[j]:
                         base = parts[j] if j < i else m
-                        if not good(g, base | rest):
+                        if not verdict(base | rest):
                             ok = False
                             break
+                reach_i = None
                 if ok:
                     s = singles_after[i + 1]
                     cap_future = caps[i + 1] if i + 1 < k else 0
                     if s > 0 and cap_future + 1 < gamma:
-                        cands = [p for j, p in enumerate(parts) if needs[j]]
-                        if needs_i:
-                            cands.append(m)
-                        completers = 0
-                        for w in bits_of(rest):
-                            wbit = 1 << w
-                            if (gamma <= 1 and good(g, wbit)) or any(
-                                good(g, p | wbit) for p in cands
-                            ):
-                                completers += 1
-                        if completers < s:
+                        if reach is None:
+                            reach = self.completer_reach(
+                                p for j, p in enumerate(parts) if needs[j]
+                            )
+                        reach_i = reach | completers(m) if needs_i else reach
+                        if popcount(rest & reach_i) < s:
                             ok = False
                 if ok:
                     parts.append(m)
                     mins.append(combo[0])
                     needs.append(needs_i)
-                    found = place(i + 1, rest, new_settled)
+                    found = place(i + 1, rest, new_settled, reach_i)
                     if found is not None:
                         return found
                     parts.pop()
@@ -272,7 +300,7 @@ class _Engine:
                     needs.pop()
             return None
 
-        return place(0, (1 << g.n) - 1, [])
+        return place(0, (1 << g.n) - 1, [], None)
 
 
 def _search_one_type(
@@ -293,9 +321,8 @@ def _search_one_type(
 
 
 def _worker_task(args) -> tuple[str, Optional[list[int]], int]:
-    n, edges, gamma, caps, good, seconds_left, node_cap, rotation = args
+    n, edges, gamma, caps, good, deadline, node_cap, rotation = args
     g = Graph(n, edges)
-    deadline = None if seconds_left is None else time.monotonic() + seconds_left
     return _search_one_type(g, gamma, caps, good, deadline, node_cap, rotation)
 
 
@@ -321,12 +348,13 @@ def _run_types(
     """
     nodes = nodes_so_far
     if workers > 1 and len(types) > 1:
-        seconds_left = None if deadline is None else deadline - time.monotonic()
-        if seconds_left is not None and seconds_left <= 0:
+        if deadline is not None and deadline <= time.monotonic():
             return ("budget", None, nodes)
         per_cap = None if node_budget is None else max(0, node_budget - nodes)
+        # the deadline stays absolute: forked workers share CLOCK_MONOTONIC,
+        # and a task that starts late must not get a fresh budget
         payload = [
-            (g.n, g.edges(), gamma, caps, good, seconds_left, per_cap, rotation_root)
+            (g.n, g.edges(), gamma, caps, good, deadline, per_cap, rotation_root)
             for caps in types
         ]
         ctx = multiprocessing.get_context("fork")

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import locdom
 from locdom.census import enumerate_graphs, enumerate_trees
 from locdom.families import (
     complete,
@@ -146,3 +151,24 @@ def test_ld_mask_fast_path_agrees_with_verdict():
 def test_spider_gamma_values():
     assert gamma_l_value(spider(1, 1, 1)) == 3
     assert gamma_l_value(spider(2, 2, 2)) == 3
+
+
+def test_result_checks_survive_optimize_flag():
+    # python -O strips assert statements; the checks that guard results
+    # must raise all the same
+    code = (
+        "import locdom.ld as ld\n"
+        "from locdom.families import path\n"
+        "ld.gamma_l_value = lambda g: g.n\n"
+        "ld.slater_upper_check(path(4))\n"
+    )
+    src = Path(locdom.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "AssertionError: upper bound gamma_l <= n-1 violated" in proc.stderr

@@ -7,10 +7,16 @@ from hypothesis import assume, given, settings, strategies as st
 from locdom.canon import canonical_key, tree_canonical_key
 from locdom.cyclepath import gap_configuration, reconstruct_from_gaps
 from locdom.families import cycle
-from locdom.graph import Graph, VertexSet, is_connected
+from locdom.graph import Graph, VertexSet, bits_of, is_connected, popcount
 from locdom.graphio import parse_edge_list, parse_graph6, to_edge_list, to_graph6
-from locdom.ld import gamma_l_value, is_ld_set, minimalize_ld_set
-from locdom.solver import partitions_of_int
+from locdom.ld import (
+    gamma_l_value,
+    is_dominating,
+    is_ld_mask,
+    is_ld_set,
+    minimalize_ld_set,
+)
+from locdom.solver import _Engine, partitions_of_int
 
 
 def graph_from_mask(n, mask):
@@ -100,6 +106,38 @@ def test_minimalize_yields_minimal_ld_set(g):
         smaller = s.difference(VertexSet(1 << v, g.n))
         if len(smaller) > 0:
             assert not is_ld_set(g, smaller).ok
+
+
+def completers_by_vertex(g, good, gamma, cands, rest):
+    """The singleton-shortfall count as a scan over the pool's vertices."""
+    return sum(
+        1
+        for w in bits_of(rest)
+        if (gamma <= 1 and good(g, 1 << w))
+        or any(good(g, p | 1 << w) for p in cands)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    small_graphs(min_n=1, max_n=8),
+    st.sampled_from([is_ld_mask, is_dominating]),
+    st.integers(0, 3),
+    st.data(),
+)
+def test_completer_masks_match_vertex_scan(g, good, gamma, data):
+    assume(is_connected(g))
+    # each vertex lies in one candidate part, in the pool, or in neither
+    k = data.draw(st.integers(0, 3))
+    where = data.draw(st.lists(st.integers(-1, k), min_size=g.n, max_size=g.n))
+    cands = [sum(1 << v for v in range(g.n) if where[v] == j) for j in range(k)]
+    cands = [p for p in cands if p]
+    rest = sum(1 << v for v in range(g.n) if where[v] == k)
+    eng = _Engine(g, gamma, good)
+    # twice: the second count reads the caches the first one filled
+    for _ in range(2):
+        count = popcount(rest & eng.completer_reach(cands))
+        assert count == completers_by_vertex(g, good, gamma, cands, rest)
 
 
 @settings(max_examples=80, deadline=None)

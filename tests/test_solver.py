@@ -1,8 +1,11 @@
 import multiprocessing.pool
+import time
 
 import pytest
 
+from locdom import solver
 from locdom.families import complete, cycle, path
+from locdom.ld import is_ld_mask
 from locdom.solver import (
     Budget,
     BudgetExceeded,
@@ -77,6 +80,38 @@ def test_pool_never_terminates_live_workers(monkeypatch):
     rep = c_l_exact(cycle(10), workers=2)
     assert (rep.c_l, rep.nodes_explored) == (5, 2347)
     assert c_l_exact(cycle(10)).nodes_explored == 2347
+
+
+def test_pooled_tasks_keep_the_parent_deadline(monkeypatch):
+    # a task that starts late must not get a fresh budget; the stub runs in
+    # the forked workers and hands back the deadline it was given
+    def stub(g, gamma, caps, good, deadline, node_cap, rotation):
+        return ("sat", deadline, 0)
+
+    monkeypatch.setattr(solver, "_search_one_type", stub)
+    deadline = time.monotonic() + 60.0
+    types = [(5, 1, 1, 1, 1, 1), (4, 2, 1, 1, 1, 1)]
+    status, got, _ = solver._run_types(
+        path(10), 4, types, is_ld_mask, deadline, None, 0, False, 2
+    )
+    assert (status, got) == ("sat", deadline)
+
+
+def test_search_judges_each_mask_once(monkeypatch):
+    # node counts pin the search; the memoized predicate and the completer
+    # masks must not change it, only how often a mask is judged
+    calls = 0
+
+    def counted(g, m):
+        nonlocal calls
+        calls += 1
+        return is_ld_mask(g, m)
+
+    monkeypatch.setattr(solver, "is_ld_mask", counted)
+    rep = c_l_exact(path(12))
+    assert (rep.c_l, rep.nodes_explored) == (5, 18331)
+    assert calls < 5000
+    assert c_l_exact(cycle(12)).nodes_explored == 4364
 
 
 def test_budget_exhaustion():

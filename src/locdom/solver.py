@@ -20,7 +20,14 @@ from itertools import combinations
 from typing import Iterator, Optional, Union
 
 from .coalition import LdcCertificate, certify_masks
-from .graph import DisconnectedGraphError, Graph, bits_of, is_connected, popcount
+from .graph import (
+    DisconnectedGraphError,
+    Graph,
+    bfs_distances,
+    bits_of,
+    is_connected,
+    popcount,
+)
 from .ld import colex_subsets, gamma_l_value, is_dominating, is_ld_mask
 
 SCHEMA_VERSION = 1
@@ -137,14 +144,21 @@ def type_labels(sizes: tuple[int, ...], gamma: int, max_partners: int) -> frozen
 
 # -- assignment search ---------------------------------------------------
 
-# Set in pool workers: once one type settles the answer, the parent sets it
-# and the searches still running stop at their next check.
+# Searches check their budgets and the pool flags every _CHECK_EVERY nodes.
+_CHECK_EVERY = 256
+
+# Set in pool workers.  _stop: once one type settles the answer, the parent
+# sets it and the searches still running stop at their next check.  _spent:
+# the nodes all tasks of the pool have explored, so that one node cap holds
+# across the workers.
 _stop = None
+_spent = None
 
 
-def _worker_init(stop) -> None:
-    global _stop
+def _worker_init(stop, spent) -> None:
+    global _stop, _spent
     _stop = stop
+    _spent = spent
 
 
 class _Engine:
@@ -211,7 +225,13 @@ class _Engine:
         self.nodes += 1
         if self.node_cap is not None and self.nodes > self.node_cap:
             raise BudgetExceeded("node budget exceeded", self.nodes)
-        if self.nodes % 256 == 0:
+        if self.nodes % _CHECK_EVERY == 0:
+            if _spent is not None:
+                with _spent.get_lock():
+                    _spent.value += _CHECK_EVERY
+                    total = _spent.value
+                if self.node_cap is not None and total > self.node_cap:
+                    raise BudgetExceeded("pooled node budget exceeded", self.nodes)
             if self.deadline is not None and time.monotonic() > self.deadline:
                 raise BudgetExceeded("time budget exceeded", self.nodes)
             if _stop is not None and _stop.is_set():
@@ -322,8 +342,15 @@ def _search_one_type(
 
 def _worker_task(args) -> tuple[str, Optional[list[int]], int]:
     n, edges, gamma, caps, good, deadline, node_cap, rotation = args
+    # a task that starts after the pool spent its node cap explores nothing
+    if node_cap is not None and _spent.value > node_cap:
+        return ("budget", None, 0)
     g = Graph(n, edges)
-    return _search_one_type(g, gamma, caps, good, deadline, node_cap, rotation)
+    res = _search_one_type(g, gamma, caps, good, deadline, node_cap, rotation)
+    # the engine added its nodes at each check; add the ones since the last
+    with _spent.get_lock():
+        _spent.value += res[2] % _CHECK_EVERY
+    return res
 
 
 def _run_types(
@@ -341,10 +368,13 @@ def _run_types(
 
     Returns (status, masks or None, total nodes).  status "budget" means
     some type ran out before an answer and no earlier type was satisfiable.
-    Pooled types are answered in order, so the total counts the same types
-    at any worker count.  Once a type settles the answer the workers are
-    stopped through a shared flag and joined, never terminated: a worker
-    killed while holding the result queue's lock hangs Pool.terminate().
+    Pooled types are answered in order, so a conclusive total counts the
+    same types at any worker count; a "budget" total counts every node the
+    workers explored.  The workers share one node counter, so the node cap
+    holds for the pool as a whole, overrun by at most _CHECK_EVERY nodes
+    per worker.  Once a type settles the answer the workers are stopped
+    through a shared flag and joined, never terminated: a worker killed
+    while holding the result queue's lock hangs Pool.terminate().
     """
     nodes = nodes_so_far
     if workers > 1 and len(types) > 1:
@@ -359,17 +389,21 @@ def _run_types(
         ]
         ctx = multiprocessing.get_context("fork")
         stop = ctx.Event()
-        pool = ctx.Pool(workers, initializer=_worker_init, initargs=(stop,))
+        spent = ctx.Value("q", 0)
+        pool = ctx.Pool(workers, initializer=_worker_init, initargs=(stop, spent))
+        status, masks = "unsat", None
         try:
             for status, masks, used in pool.imap(_worker_task, payload):
                 nodes += used
                 if status != "unsat":
-                    return (status, masks, nodes)
-            return ("unsat", None, nodes)
+                    break
         finally:
             stop.set()
             pool.close()
             pool.join()
+        if status == "budget":
+            nodes = nodes_so_far + spent.value
+        return (status, masks, nodes)
     for caps in types:
         per_cap = None if node_budget is None else max(0, node_budget - nodes)
         status, masks, used = _search_one_type(
@@ -379,6 +413,17 @@ def _run_types(
         if status != "unsat":
             return (status, masks, nodes)
     return ("unsat", None, nodes)
+
+
+def _check_transitive_flag(g: Graph) -> None:
+    """Raise ValueError unless every vertex has the same BFS distance
+    profile (the count of vertices at each distance), as every
+    vertex-transitive graph does: necessary for the flag, not sufficient."""
+    if len({tuple(sorted(bfs_distances(g, v))) for v in range(g.n)}) > 1:
+        raise ValueError(
+            "assume_vertex_transitive set on a graph that is not "
+            "vertex-transitive: its distance profiles differ"
+        )
 
 
 def c_l_exact(
@@ -391,10 +436,14 @@ def c_l_exact(
 
     assume_vertex_transitive licenses pinning vertex 0 into the first slot
     of each type; set it only for graphs whose automorphism group is
-    transitive on vertices (it is unsound otherwise).
+    transitive on vertices (it is unsound otherwise).  A graph whose
+    vertices have different distance profiles raises ValueError; that
+    check is necessary only, so the caller still vouches for the rest.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("C_L search requires a connected graph")
+    if assume_vertex_transitive:
+        _check_transitive_flag(g)
     start = time.monotonic()
     if g.n <= 2:
         return SolveReport(
@@ -471,10 +520,12 @@ def c_l_at_least(
     A None answer is exhaustive: no LDC-partition of size exactly k
     exists (of the given types, when only_types restricts the search).
     Running out of budget raises BudgetExceeded instead of returning an
-    answer.
+    answer.  assume_vertex_transitive is checked as in c_l_exact.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("C_L search requires a connected graph")
+    if assume_vertex_transitive:
+        _check_transitive_flag(g)
     if k < 1:
         raise ValueError("k must be at least 1")
     if g.n <= 2 or k > g.n:

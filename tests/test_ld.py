@@ -16,10 +16,12 @@ from locdom.families import (
     spider,
     star,
 )
-from locdom.graph import VertexSet, mask_of
+from locdom import ld
+from locdom.graph import Graph, VertexSet, mask_of
 from locdom.ld import (
     d_loc,
     gamma_l,
+    gamma_l_lower_bound,
     gamma_l_naive,
     gamma_l_value,
     is_dominating,
@@ -80,10 +82,52 @@ def test_gamma_l_closed_form_small():
         assert gamma_l_value(path(n)) == want
 
 
+def census_up_to_6_and_trees_10():
+    for n in range(1, 7):
+        yield from enumerate_graphs(n, connected_only=True)
+    yield from enumerate_trees(10)
+
+
 def test_gamma_l_matches_naive_on_census():
-    for n in range(1, 6):
-        for g in enumerate_graphs(n, connected_only=True):
-            assert gamma_l(g)[0] == gamma_l_naive(g)[0]
+    # the naive scan starts at the logarithmic bound, so it checks both the
+    # counting bound's soundness and the witness the pruned search returns
+    checked = 0
+    for g in census_up_to_6_and_trees_10():
+        value, witness = gamma_l_naive(g)
+        assert gamma_l_lower_bound(g) <= value, g.edges()
+        got_value, got_witness = gamma_l(g)
+        assert (got_value, int(got_witness)) == (value, int(witness)), g.edges()
+        checked += 1
+    assert checked == 143 + 106
+
+
+def test_gamma_l_lower_bound_is_tight_on_paths_and_cycles():
+    assert gamma_l_lower_bound(path(1)) == gamma_l_lower_bound(path(2)) == 1
+    for n in range(3, 31):
+        assert gamma_l_lower_bound(path(n)) == math.ceil(2 * n / 5)
+        assert gamma_l_lower_bound(cycle(n)) == math.ceil(2 * n / 5)
+
+
+def test_gamma_l_searches_only_from_the_bound(monkeypatch):
+    # on P_30 and C_30 the counting bound is gamma_l = 12, so the colex
+    # search runs once and refutes no smaller cardinality
+    calls = []
+    search = ld._colex_least_ld
+
+    def counted(g, k, cadj):
+        calls.append(k)
+        return search(g, k, cadj)
+
+    monkeypatch.setattr(ld, "_colex_least_ld", counted)
+    for g in (path(30), cycle(30)):
+        calls.clear()
+        assert gamma_l_value(g) == 12
+        assert calls == [12]
+
+
+def test_gamma_l_lower_bound_rejects_empty_graph():
+    with pytest.raises(ValueError):
+        gamma_l_lower_bound(Graph(0))
 
 
 def test_gamma_l_witness_is_valid_and_least():

@@ -10,6 +10,9 @@ from locdom.families import cycle
 from locdom.graph import Graph, VertexSet, bits_of, is_connected, popcount
 from locdom.graphio import parse_edge_list, parse_graph6, to_edge_list, to_graph6
 from locdom.ld import (
+    gamma_l,
+    gamma_l_lower_bound,
+    gamma_l_naive,
     gamma_l_value,
     is_dominating,
     is_ld_mask,
@@ -94,6 +97,16 @@ def test_tree_lower_bound(n, data):
     t = nx.from_prufer_sequence(seq)
     g = Graph(n, sorted(tuple(sorted(e)) for e in t.edges()))
     assert gamma_l_value(g) >= math.ceil((n + 1) / 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(min_n=1, max_n=9))
+def test_gamma_l_lower_bound_is_sound(g):
+    assume(is_connected(g))
+    value, witness = gamma_l_naive(g)
+    assert gamma_l_lower_bound(g) <= value
+    got_value, got_witness = gamma_l(g)
+    assert (got_value, int(got_witness)) == (value, int(witness))
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from locdom import solver
-from locdom.families import complete, cycle, path
+from locdom.families import complete, cycle, path, spider
 from locdom.ld import is_ld_mask
 from locdom.solver import (
     Budget,
@@ -95,6 +95,50 @@ def test_pooled_tasks_keep_the_parent_deadline(monkeypatch):
         path(10), 4, types, is_ld_mask, deadline, None, 0, False, 2
     )
     assert (status, got) == ("sat", deadline)
+
+
+def test_node_budget_holds_across_workers():
+    # each copy of P_14's type is unsat after 128,128 nodes; the four
+    # together overrun a 200,000-node cap at any worker count
+    types = [(5, 5, 1, 1, 1, 1)] * 4
+    for workers in (1, 2):
+        status, _, nodes = solver._run_types(
+            path(14), 5, types, is_ld_mask, None, 200_000, 0, False, workers
+        )
+        assert status == "budget"
+        assert 200_000 < nodes <= 200_000 + workers * solver._CHECK_EVERY
+
+
+def test_pooled_budget_total_counts_every_node(monkeypatch):
+    # more workers than cores share one counter; a "budget" verdict reports
+    # its total, which must hold every node of every finished task, the
+    # ones since each engine's last check included
+    ticks = 5000  # not a multiple of the check interval
+
+    def stub(g, gamma, caps, good, deadline, node_cap, rotation):
+        if caps == (6, 4):
+            return ("budget", None, 0)
+        eng = solver._Engine(g, gamma, good, deadline, node_cap, rotation)
+        for _ in range(ticks):
+            eng._tick()
+        return ("unsat", None, eng.nodes)
+
+    monkeypatch.setattr(solver, "_search_one_type", stub)
+    types = [(5, 5)] * 11 + [(6, 4)]
+    status, _, nodes = solver._run_types(
+        path(10), 4, types, is_ld_mask, None, 10**9, 0, False, 3
+    )
+    assert (status, nodes) == ("budget", 11 * ticks)
+
+
+def test_transitive_flag_rejects_unequal_distance_profiles():
+    g = spider(3, 2, 2)  # not vertex-transitive: the flag would give 4
+    assert c_l_exact(g).c_l == 5
+    with pytest.raises(ValueError):
+        c_l_exact(g, assume_vertex_transitive=True)
+    with pytest.raises(ValueError):
+        c_l_at_least(g, 5, assume_vertex_transitive=True)
+    assert c_l_at_least(cycle(6), 5, assume_vertex_transitive=True) is not None
 
 
 def test_search_judges_each_mask_once(monkeypatch):

@@ -8,7 +8,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from typing import Optional
 
 from . import __version__
@@ -28,7 +27,6 @@ from .solver import (
     SCHEMA_VERSION,
     Budget,
     BudgetExceeded,
-    SolveReport,
     c_l_at_least,
     c_l_exact,
 )
@@ -145,43 +143,9 @@ def cmd_cl(args) -> int:
     g = _load_graph(args)
     budget = _budget(args)
     if args.at_least is not None:
-        k = args.at_least
-        if k < 1:
-            raise ValueError("--at-least needs k >= 1")
-        started = time.monotonic()
-        try:
-            cert = c_l_at_least(g, k, budget=budget, workers=args.workers)
-        except BudgetExceeded as e:
-            rep = SolveReport(
-                c_l=None,
-                certificate=None,
-                bounds_used=[("at_least", k)],
-                nodes_explored=e.nodes_explored,
-                elapsed=time.monotonic() - started,
-                status="inconclusive",
-            )
-            _emit(rep.to_json_dict(), args)
-            return EXIT_BUDGET
-        elapsed = time.monotonic() - started
-        if cert is None:
-            rep = SolveReport(
-                c_l=None,
-                certificate=None,
-                bounds_used=[("at_least", k)],
-                elapsed=elapsed,
-                status="none",
-            )
-        else:
-            rep = SolveReport(
-                c_l=k,
-                certificate=cert,
-                bounds_used=[("at_least", k)],
-                elapsed=elapsed,
-                status="exact",
-            )
-        _emit(rep.to_json_dict(), args)
-        return EXIT_OK
-    rep = c_l_exact(g, budget=budget, workers=args.workers)
+        rep = c_l_at_least(g, args.at_least, budget=budget, workers=args.workers)
+    else:
+        rep = c_l_exact(g, budget=budget, workers=args.workers)
     _emit(rep.to_json_dict(), args)
     return EXIT_OK if rep.status in ("exact", "none") else EXIT_BUDGET
 

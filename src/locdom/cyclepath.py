@@ -13,6 +13,7 @@ from .families import cycle, path, spider
 from .graph import Graph, VertexSet, bits_of, closed_mask, popcount
 from .ld import gamma_l_value, is_ld_mask, singleton_completers
 from .solver import (
+    BudgetExceeded,
     c_l_at_least,
     c_l_exact,
     c_l_numeric,
@@ -289,7 +290,7 @@ def refute_surviving_types(
     refuted = []
     realized = []
     for t in survivors:
-        cert = c_l_at_least(
+        rep = c_l_at_least(
             g,
             6,
             budget=budget,
@@ -297,10 +298,9 @@ def refute_surviving_types(
             assume_vertex_transitive=(family == "cycle"),
             only_types=[t],
         )
-        if cert is None:
-            refuted.append(t)
-        else:
-            realized.append((t, cert))
+        if rep.status == "inconclusive":
+            raise BudgetExceeded(f"type {t} ran out of budget", rep.nodes_explored)
+        (refuted if rep.certificate is None else realized).append(t)
     return {
         "n": n,
         "family": family,
@@ -309,7 +309,7 @@ def refute_surviving_types(
         "label_killed": len(table) - len(survivors),
         "survivors": survivors,
         "refuted": refuted,
-        "realized": [t for t, _ in realized],
+        "realized": realized,
         "all_refuted": not realized,
     }
 

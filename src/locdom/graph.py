@@ -223,30 +223,13 @@ def closed_neighborhood(g: Graph, v: int) -> VertexSet:
     return VertexSet(g.adj[v] | (1 << v), g.n)
 
 
-def closed_neighborhood_of_set(g: Graph, a) -> VertexSet:
-    """N[A]: union of the closed neighborhoods of the members of A."""
-    m = as_mask(g, a)
-    out = m
-    for v in bits_of(m):
-        out |= g.adj[v]
-    return VertexSet(out, g.n)
-
-
 def closed_mask(g: Graph, mask: int) -> int:
-    """Raw-mask version of N[A] for search inner loops."""
+    """N[A] of a raw mask A: the union of the closed neighborhoods of its
+    members, for search inner loops."""
     out = mask
     for v in bits_of(mask):
         out |= g.adj[v]
     return out
-
-
-def two_neighborhood(g: Graph, v: int) -> VertexSet:
-    """Vertices at distance 1 or 2 from v (v itself excluded)."""
-    g.check_vertex(v)
-    out = g.adj[v]
-    for u in bits_of(g.adj[v]):
-        out |= g.adj[u]
-    return VertexSet(out & ~(1 << v), g.n)
 
 
 def are_twins(g: Graph, u: int, v: int) -> bool:

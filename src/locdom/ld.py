@@ -20,7 +20,6 @@ from .graph import (
     bits_of,
     closed_mask,
     is_connected,
-    popcount,
 )
 
 
@@ -280,9 +279,6 @@ def _domatic_partition(g: Graph, k: int) -> Optional[list[int]]:
     n = g.n
     full = g.full_mask()
     classes = [0] * k
-
-    def ok_optimistic(ci: int, unassigned: int) -> bool:
-        return is_ld_mask(g, classes[ci] | unassigned)
 
     def assign(v: int, used: int) -> bool:
         if v == n:

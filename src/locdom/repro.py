@@ -28,7 +28,6 @@ from .cyclepath import (
     census_c_l_equals_n,
     census_trees_c_l_n_minus_1,
     refute_surviving_types,
-    surviving_types,
     verify_lemma_ld5_1,
     verify_lemma_ld5_2,
 )
@@ -301,8 +300,9 @@ def _cubic_sharpness(ctx: ReproContext):
 
 
 def _plain_coalition_small(ctx: ReproContext):
-    cyc = {n: plain_coalition_number(cycle(n)) for n in range(3, 11)}
-    pth = {n: plain_coalition_number(path(n)) for n in range(3, 11)}
+    budget = ctx.search_budget  # called per solve: the seconds left shrink
+    cyc = {n: plain_coalition_number(cycle(n), budget=budget()) for n in range(3, 11)}
+    pth = {n: plain_coalition_number(path(n), budget=budget()) for n in range(3, 11)}
     capped = all(v <= 6 for v in cyc.values()) and all(
         v <= 6 for v in pth.values()
     )

@@ -17,7 +17,7 @@ import multiprocessing
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .coalition import LdcCertificate, certify_masks
 from .graph import (
@@ -150,15 +150,16 @@ _CHECK_EVERY = 256
 # Set in pool workers.  _stop: once one type settles the answer, the parent
 # sets it and the searches still running stop at their next check.  _spent:
 # the nodes all tasks of the pool have explored, so that one node cap holds
-# across the workers.
+# across the workers.  _job: the search arguments every task shares, all but
+# the type; the workers are forked, so they inherit it unpickled.
 _stop = None
 _spent = None
+_job = None
 
 
-def _worker_init(stop, spent) -> None:
-    global _stop, _spent
-    _stop = stop
-    _spent = spent
+def _worker_init(stop, spent, job) -> None:
+    global _stop, _spent, _job
+    _stop, _spent, _job = stop, spent, job
 
 
 class _Engine:
@@ -340,12 +341,12 @@ def _search_one_type(
     return ("sat" if res is not None else "unsat", res, eng.nodes)
 
 
-def _worker_task(args) -> tuple[str, Optional[list[int]], int]:
-    n, edges, gamma, caps, good, deadline, node_cap, rotation = args
-    # a task that starts after the pool spent its node cap explores nothing
-    if node_cap is not None and _spent.value > node_cap:
+def _worker_task(caps: tuple[int, ...]) -> tuple[str, Optional[list[int]], int]:
+    g, gamma, good, deadline, node_cap, rotation = _job
+    # a task that starts after the answer is settled, or after the pool
+    # spent its node cap, explores nothing
+    if _stop.is_set() or (node_cap is not None and _spent.value > node_cap):
         return ("budget", None, 0)
-    g = Graph(n, edges)
     res = _search_one_type(g, gamma, caps, good, deadline, node_cap, rotation)
     # the engine added its nodes at each check; add the ones since the last
     with _spent.get_lock():
@@ -353,66 +354,75 @@ def _worker_task(args) -> tuple[str, Optional[list[int]], int]:
     return res
 
 
+def _survivors(
+    n: int, sizes: Iterable[int], gamma: int, cap: int
+) -> Iterator[tuple[int, ...]]:
+    """The part-size types with k parts, for each k in sizes in turn, that
+    type_labels does not refute; each is screened only when reached."""
+    for k in sizes:
+        for t in partitions_of_int(n, k):
+            if not type_labels(t, gamma, cap):
+                yield t
+
+
 def _run_types(
     g: Graph,
     gamma: int,
-    types: list[tuple[int, ...]],
+    types: Iterable[tuple[int, ...]],
     good,
     deadline: Optional[float],
     node_budget: Optional[int],
-    nodes_so_far: int,
     rotation_root: bool,
     workers: int,
-) -> tuple[str, Optional[list[int]], int]:
+) -> tuple[str, Optional[tuple[int, ...]], Optional[list[int]], int]:
     """Search the given types in order; first satisfiable type wins.
 
-    Returns (status, masks or None, total nodes).  status "budget" means
-    some type ran out before an answer and no earlier type was satisfiable.
-    Pooled types are answered in order, so a conclusive total counts the
-    same types at any worker count; a "budget" total counts every node the
-    workers explored.  The workers share one node counter, so the node cap
-    holds for the pool as a whole, overrun by at most _CHECK_EVERY nodes
-    per worker.  Once a type settles the answer the workers are stopped
-    through a shared flag and joined, never terminated: a worker killed
-    while holding the result queue's lock hangs Pool.terminate().
+    Returns (status, deciding type, masks or None, total nodes).  The
+    deciding type is the satisfiable one, or for status "budget" the one
+    that ran out before an answer; it is None when every type is "unsat".
+    A pool runs only for two types or more.  Pooled types are answered in
+    order, so a conclusive total counts the same types at any worker
+    count; a "budget" total counts every node the workers explored.  The
+    workers share one node counter, so the node cap holds for the pool as
+    a whole, overrun by at most _CHECK_EVERY nodes per worker.  Once a
+    type settles the answer the workers are stopped through a shared flag
+    and joined, never terminated: a worker killed while holding the result
+    queue's lock hangs Pool.terminate().
     """
-    nodes = nodes_so_far
-    if workers > 1 and len(types) > 1:
-        if deadline is not None and deadline <= time.monotonic():
-            return ("budget", None, nodes)
-        per_cap = None if node_budget is None else max(0, node_budget - nodes)
-        # the deadline stays absolute: forked workers share CLOCK_MONOTONIC,
-        # and a task that starts late must not get a fresh budget
-        payload = [
-            (g.n, g.edges(), gamma, caps, good, deadline, per_cap, rotation_root)
-            for caps in types
-        ]
-        ctx = multiprocessing.get_context("fork")
-        stop = ctx.Event()
-        spent = ctx.Value("q", 0)
-        pool = ctx.Pool(workers, initializer=_worker_init, initargs=(stop, spent))
-        status, masks = "unsat", None
-        try:
-            for status, masks, used in pool.imap(_worker_task, payload):
-                nodes += used
-                if status != "unsat":
-                    break
-        finally:
-            stop.set()
-            pool.close()
-            pool.join()
-        if status == "budget":
-            nodes = nodes_so_far + spent.value
-        return (status, masks, nodes)
-    for caps in types:
-        per_cap = None if node_budget is None else max(0, node_budget - nodes)
-        status, masks, used = _search_one_type(
-            g, gamma, caps, good, deadline, per_cap, rotation_root
-        )
-        nodes += used
-        if status != "unsat":
-            return (status, masks, nodes)
-    return ("unsat", None, nodes)
+    nodes = 0
+    if workers > 1:
+        types = list(types)  # the pool queues every type at once
+    if workers <= 1 or len(types) < 2:
+        for caps in types:
+            per_cap = None if node_budget is None else max(0, node_budget - nodes)
+            status, masks, used = _search_one_type(
+                g, gamma, caps, good, deadline, per_cap, rotation_root
+            )
+            nodes += used
+            if status != "unsat":
+                return (status, caps, masks, nodes)
+        return ("unsat", None, None, nodes)
+    # the deadline stays absolute: forked workers share CLOCK_MONOTONIC,
+    # and a task that starts late must not get a fresh budget
+    job = (g, gamma, good, deadline, node_budget, rotation_root)
+    ctx = multiprocessing.get_context("fork")
+    stop = ctx.Event()
+    spent = ctx.Value("q", 0)
+    pool = ctx.Pool(workers, initializer=_worker_init, initargs=(stop, spent, job))
+    status, decider, masks = "unsat", None, None
+    try:
+        for caps, (status, masks, used) in zip(types, pool.imap(_worker_task, types)):
+            nodes += used
+            if status != "unsat":
+                decider = caps
+                break
+    finally:
+        stop.set()
+        pool.close()
+        pool.join()
+    if status == "budget":
+        nodes = spent.value
+    return (status, decider, masks, nodes)
 
 
 def _check_transitive_flag(g: Graph) -> None:
@@ -424,6 +434,9 @@ def _check_transitive_flag(g: Graph) -> None:
             "assume_vertex_transitive set on a graph that is not "
             "vertex-transitive: its distance profiles differ"
         )
+
+
+_REPORT_STATUS = {"sat": "exact", "unsat": "none", "budget": "inconclusive"}
 
 
 def c_l_exact(
@@ -444,66 +457,39 @@ def c_l_exact(
         raise DisconnectedGraphError("C_L search requires a connected graph")
     if assume_vertex_transitive:
         _check_transitive_flag(g)
-    start = time.monotonic()
     if g.n <= 2:
-        return SolveReport(
-            c_l="none",
-            certificate=None,
-            bounds_used=[("order", g.n)],
-            nodes_explored=0,
-            elapsed=time.monotonic() - start,
-            status="none",
-        )
+        return SolveReport("none", None, [("order", g.n)], status="none")
+    start = time.monotonic()
     budget = budget or Budget()
     deadline = budget.deadline()
     gamma = gamma_l_value(g)
     kmax = min(g.n, g.n - gamma + 2)
-    cap = 2 * g.max_degree()
     bounds = [("gamma_l", gamma), ("upper_start", kmax)]
-    nodes = 0
-    for k in range(kmax, 1, -1):
-        survivors = [
-            t
-            for t in partitions_of_int(g.n, k)
-            if not type_labels(t, gamma, cap)
-        ]
-        status, masks, nodes = _run_types(
-            g,
-            gamma,
-            survivors,
-            is_ld_mask,
-            deadline,
-            budget.nodes,
-            nodes,
-            assume_vertex_transitive,
-            workers,
-        )
-        if status == "sat":
-            cert = certify_masks(g, masks, "the C_L search")
-            return SolveReport(
-                c_l=k,
-                certificate=cert,
-                bounds_used=bounds + [("settled_at", k)],
-                nodes_explored=nodes,
-                elapsed=time.monotonic() - start,
-                status="exact",
-            )
-        if status == "budget":
-            return SolveReport(
-                c_l=None,
-                certificate=None,
-                bounds_used=bounds + [("refuted_down_to", k + 1)],
-                nodes_explored=nodes,
-                elapsed=time.monotonic() - start,
-                status="inconclusive",
-            )
+    types = _survivors(g.n, range(kmax, 1, -1), gamma, 2 * g.max_degree())
+    status, caps, masks, nodes = _run_types(
+        g,
+        gamma,
+        types,
+        is_ld_mask,
+        deadline,
+        budget.nodes,
+        assume_vertex_transitive,
+        workers,
+    )
+    c_l, cert = ("none" if status == "unsat" else None), None
+    if status == "sat":
+        c_l = len(caps)
+        cert = certify_masks(g, masks, "the C_L search")
+        bounds.append(("settled_at", c_l))
+    elif status == "budget":
+        bounds.append(("refuted_down_to", len(caps) + 1))
     return SolveReport(
-        c_l="none",
-        certificate=None,
+        c_l=c_l,
+        certificate=cert,
         bounds_used=bounds,
         nodes_explored=nodes,
         elapsed=time.monotonic() - start,
-        status="none",
+        status=_REPORT_STATUS[status],
     )
 
 
@@ -514,13 +500,13 @@ def c_l_at_least(
     workers: int = 1,
     assume_vertex_transitive: bool = False,
     only_types: Optional[list] = None,
-) -> Optional[LdcCertificate]:
-    """Certificate of an LDC-partition with exactly k parts, or None.
+) -> SolveReport:
+    """Decide whether an LDC-partition with exactly k parts exists.
 
-    A None answer is exhaustive: no LDC-partition of size exactly k
-    exists (of the given types, when only_types restricts the search).
-    Running out of budget raises BudgetExceeded instead of returning an
-    answer.  assume_vertex_transitive is checked as in c_l_exact.
+    Status "exact" carries c_l = k and a certificate; "none" is exhaustive:
+    no LDC-partition of size exactly k exists (of the given types, when
+    only_types restricts the search); "inconclusive" means the budget ran
+    out first.  assume_vertex_transitive is checked as in c_l_exact.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("C_L search requires a connected graph")
@@ -528,39 +514,42 @@ def c_l_at_least(
         _check_transitive_flag(g)
     if k < 1:
         raise ValueError("k must be at least 1")
-    if g.n <= 2 or k > g.n:
-        return None
-    budget = budget or Budget()
-    deadline = budget.deadline()
-    gamma = gamma_l_value(g)
-    if k > g.n - gamma + 2:
-        return None  # refuted by the C_L <= n - gamma_l + 2 bound
-    cap = 2 * g.max_degree()
-    survivors = [
-        t for t in partitions_of_int(g.n, k) if not type_labels(t, gamma, cap)
-    ]
     if only_types is not None:
         wanted = {tuple(t) for t in only_types}
         for t in wanted:
             if tuple(sorted(t, reverse=True)) != t or sum(t) != g.n or len(t) != k:
                 raise ValueError(f"malformed type restriction {t}")
-        survivors = [t for t in survivors if t in wanted]
-    status, masks, nodes = _run_types(
+    bounds = [("at_least", k)]
+    if g.n <= 2:  # K_1 and K_2 have no LDC-partition
+        return SolveReport(None, None, bounds, status="none")
+    start = time.monotonic()
+    budget = budget or Budget()
+    deadline = budget.deadline()
+    gamma = gamma_l_value(g)
+    # above n - gamma_l + 2 parts every type has a part with no possible
+    # partner, so the screen alone refutes such a k
+    types = _survivors(g.n, [k], gamma, 2 * g.max_degree())
+    if only_types is not None:
+        types = (t for t in types if t in wanted)
+    status, _, masks, nodes = _run_types(
         g,
         gamma,
-        survivors,
+        types,
         is_ld_mask,
         deadline,
         budget.nodes,
-        0,
         assume_vertex_transitive,
         workers,
     )
-    if status == "budget":
-        raise BudgetExceeded(f"search at size {k} ran out of budget", nodes)
-    if status == "sat":
-        return certify_masks(g, masks, "the C_L search")
-    return None
+    cert = certify_masks(g, masks, "the C_L search") if status == "sat" else None
+    return SolveReport(
+        c_l=k if cert is not None else None,
+        certificate=cert,
+        bounds_used=bounds,
+        nodes_explored=nodes,
+        elapsed=time.monotonic() - start,
+        status=_REPORT_STATUS[status],
+    )
 
 
 # -- naive oracles (testing / small cases) -------------------------------
@@ -638,13 +627,14 @@ def _domination_number(g: Graph) -> int:
 
 
 def plain_coalition_number(
-    g: Graph, budget: Optional[Budget] = None, workers: int = 1
+    g: Graph, budget: Optional[Budget] = None
 ) -> Union[int, str]:
     """Exact plain coalition number by the type-filtered search.
 
     Parts must be non-dominating with a partner (two non-dominating parts
     whose union dominates), except that a dominating set of size one may
-    stand alone as its own part.
+    stand alone as its own part.  Running out of budget raises
+    BudgetExceeded.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("coalition search requires a connected graph")
@@ -657,27 +647,14 @@ def plain_coalition_number(
         kmax = g.n
     else:
         kmax = min(g.n, g.n - gamma + 2)
-    cap = g.max_degree() + 1
-    nodes = 0
-    for k in range(kmax, 0, -1):
-        survivors = [
-            t for t in partitions_of_int(g.n, k) if not type_labels(t, gamma, cap)
-        ]
-        status, masks, nodes = _run_types(
-            g,
-            gamma,
-            survivors,
-            is_dominating,
-            deadline,
-            budget.nodes,
-            nodes,
-            False,
-            workers,
-        )
-        if status == "budget":
-            raise BudgetExceeded(f"search at size {k} ran out of budget", nodes)
-        if status == "sat":
-            if not _valid_coalition_partition(g, masks, is_dominating, True):
-                raise AssertionError("search returned an invalid coalition partition")
-            return k
-    return "none"
+    types = _survivors(g.n, range(kmax, 0, -1), gamma, g.max_degree() + 1)
+    status, caps, masks, nodes = _run_types(
+        g, gamma, types, is_dominating, deadline, budget.nodes, False, 1
+    )
+    if status == "budget":
+        raise BudgetExceeded(f"search at size {len(caps)} ran out of budget", nodes)
+    if status == "unsat":
+        return "none"
+    if not _valid_coalition_partition(g, masks, is_dominating, True):
+        raise AssertionError("search returned an invalid coalition partition")
+    return len(caps)

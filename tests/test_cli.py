@@ -70,6 +70,21 @@ def test_cl_at_least_decision(capsys):
     assert doc["c_l"] is None
 
 
+def test_cl_at_least_reports_its_search(capsys):
+    code, out, _ = run(capsys, ["cl", "--family", "cycle:10", "--at-least", "6"])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["status"], doc["c_l"]) == ("none", None)
+    assert doc["nodes_explored"] > 0
+
+
+def test_cl_at_least_rejects_k_below_one(capsys):
+    code, out, err = run(capsys, ["cl", "--family", "cycle:6", "--at-least", "0"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_cl_budget_inconclusive(capsys):
     code, out, _ = run(
         capsys,

@@ -66,3 +66,11 @@ def test_plain_projection():
     assert _plain({1: (2, 3), "s": {5, 4}}) == {"1": [2, 3], "s": [4, 5]}
     assert _plain(((1, 2), (3,))) == [[1, 2], [3]]
     assert _plain("x") == "x"
+
+
+def test_plain_coalition_claim_keeps_the_node_budget():
+    rep = run_claims(only="plain-coalition", budget_nodes=1)
+    assert [(r.id, r.status) for r in rep.results] == [
+        ("plain-coalition-small", "inconclusive")
+    ]
+    assert rep.budget_hit

@@ -8,7 +8,6 @@ from locdom.families import complete, cycle, path, spider
 from locdom.ld import is_ld_mask
 from locdom.solver import (
     Budget,
-    BudgetExceeded,
     c_l_at_least,
     c_l_exact,
     c_l_numeric,
@@ -91,10 +90,32 @@ def test_pooled_tasks_keep_the_parent_deadline(monkeypatch):
     monkeypatch.setattr(solver, "_search_one_type", stub)
     deadline = time.monotonic() + 60.0
     types = [(5, 1, 1, 1, 1, 1), (4, 2, 1, 1, 1, 1)]
-    status, got, _ = solver._run_types(
-        path(10), 4, types, is_ld_mask, deadline, None, 0, False, 2
+    status, _, got, _ = solver._run_types(
+        path(10), 4, types, is_ld_mask, deadline, None, False, 2
     )
     assert (status, got) == ("sat", deadline)
+
+
+def test_pool_skips_types_queued_behind_the_answer(monkeypatch, tmp_path):
+    # the first type settles the answer at once; a task a worker picks up
+    # after that must return without starting its search
+    log = tmp_path / "started.txt"
+
+    def stub(g, gamma, caps, good, deadline, node_cap, rotation):
+        with open(log, "a") as fh:
+            fh.write(f"{caps}\n")
+        if caps == (9, 1):
+            return ("sat", [], 0)
+        time.sleep(0.5)
+        return ("unsat", None, 0)
+
+    monkeypatch.setattr(solver, "_search_one_type", stub)
+    types = [(9, 1)] + [(5, 5)] * 19
+    status, decider, _, _ = solver._run_types(
+        path(10), 4, types, is_ld_mask, None, None, False, 2
+    )
+    assert (status, decider) == ("sat", (9, 1))
+    assert len(log.read_text().splitlines()) <= 1 + 2
 
 
 def test_node_budget_holds_across_workers():
@@ -102,8 +123,8 @@ def test_node_budget_holds_across_workers():
     # together overrun a 200,000-node cap at any worker count
     types = [(5, 5, 1, 1, 1, 1)] * 4
     for workers in (1, 2):
-        status, _, nodes = solver._run_types(
-            path(14), 5, types, is_ld_mask, None, 200_000, 0, False, workers
+        status, _, _, nodes = solver._run_types(
+            path(14), 5, types, is_ld_mask, None, 200_000, False, workers
         )
         assert status == "budget"
         assert 200_000 < nodes <= 200_000 + workers * solver._CHECK_EVERY
@@ -125,8 +146,8 @@ def test_pooled_budget_total_counts_every_node(monkeypatch):
 
     monkeypatch.setattr(solver, "_search_one_type", stub)
     types = [(5, 5)] * 11 + [(6, 4)]
-    status, _, nodes = solver._run_types(
-        path(10), 4, types, is_ld_mask, None, 10**9, 0, False, 3
+    status, _, _, nodes = solver._run_types(
+        path(10), 4, types, is_ld_mask, None, 10**9, False, 3
     )
     assert (status, nodes) == ("budget", 11 * ticks)
 
@@ -138,7 +159,7 @@ def test_transitive_flag_rejects_unequal_distance_profiles():
         c_l_exact(g, assume_vertex_transitive=True)
     with pytest.raises(ValueError):
         c_l_at_least(g, 5, assume_vertex_transitive=True)
-    assert c_l_at_least(cycle(6), 5, assume_vertex_transitive=True) is not None
+    assert c_l_at_least(cycle(6), 5, assume_vertex_transitive=True).status == "exact"
 
 
 def test_search_judges_each_mask_once(monkeypatch):
@@ -162,21 +183,33 @@ def test_budget_exhaustion():
     rep = c_l_exact(cycle(14), budget=Budget(seconds=0.05))
     assert rep.status == "inconclusive"
     assert rep.c_l is None
-    with pytest.raises(BudgetExceeded) as info:
-        c_l_at_least(cycle(14), 6, budget=Budget(seconds=0.05))
-    assert info.value.nodes_explored > 0
+    rep = c_l_at_least(cycle(14), 6, budget=Budget(seconds=0.05))
+    assert rep.status == "inconclusive"
+    assert rep.nodes_explored > 0
+
+
+def test_bounds_name_the_deciding_size():
+    # k = 10..7 are refuted before the node budget runs out inside k = 6
+    rep = c_l_exact(cycle(14), budget=Budget(nodes=5000))
+    assert rep.status == "inconclusive"
+    assert rep.bounds_used == [
+        ("gamma_l", 6),
+        ("upper_start", 10),
+        ("refuted_down_to", 7),
+    ]
+    assert c_l_exact(path(12)).bounds_used[-1] == ("settled_at", 5)
 
 
 def test_at_least_decision():
-    cert = c_l_at_least(cycle(6), 5)
+    cert = c_l_at_least(cycle(6), 5).certificate
     assert cert is not None and cert.verify(cycle(6))
-    assert c_l_at_least(cycle(6), 6) is None
+    assert c_l_at_least(cycle(6), 6).status == "none"
 
 
 def test_only_types_restriction():
     with pytest.raises(ValueError):
         c_l_at_least(cycle(10), 6, only_types=[(3, 3, 1, 1)])
-    assert c_l_at_least(cycle(10), 6, only_types=[(5, 1, 1, 1, 1, 1)]) is None
+    assert c_l_at_least(cycle(10), 6, only_types=[(5, 1, 1, 1, 1, 1)]).status == "none"
 
 
 def test_partitions_of_int():

@@ -7,12 +7,17 @@ possible partner, a part size forced to carry too many partners), and
 surviving types go to a slot-sequential assignment search with symmetry
 breaking and incremental partner checks.  The search takes the predicate
 parts are judged by: ld.is_ld_mask for C_L, ld.is_dominating for the plain
-coalition number, where a dominating singleton may also stand alone.
+coalition number, where a dominating singleton may also stand alone.  A
+capacity rule counts singleton partners from the first slot on: parts that
+can partner a singleton complete at most C_max(size) of them, which can
+refute a type before it is searched.  One predicate memo (_Memo) per solve
+serves every type of that solve.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import multiprocessing
 import time
 from dataclasses import dataclass, field
@@ -162,65 +167,88 @@ def _worker_init(stop, spent, job) -> None:
     _stop, _spent, _job = stop, spent, job
 
 
-class _Engine:
-    """Slot-sequential assignment search for one part-size type.
+class _Memo:
+    """The predicate caches one solve shares across all its types.
 
-    good(g, mask) is the predicate parts are judged by (is_ld_mask or
-    is_dominating) and gamma the size of the least good set.  Slots are
-    filled in capacity-descending order with lexicographic combinations
-    from the remaining pool; equal-capacity slots keep their least elements
-    increasing, and with rotation_root set (vertex-transitive callers only)
-    the first slot must contain vertex 0.  After each placement: the part
-    must not already be good alone, unless it is a singleton and
-    gamma <= 1 (then it stands alone and needs no partner); every placed
-    part must have an exact partner or an optimistic one through the
-    untouched pool; and once the remaining slots are too small to partner
-    a singleton, enough pool vertices must complete some placed part (or
-    stand alone) to fill every remaining singleton slot.
-
-    Two caches, one per engine, sit in front of good.  verdict(mask) is
-    good(g, mask) memoized, so each distinct mask is judged once: the
-    search asks about a few thousand masks a million times.
-    completers(p) is the mask of every w outside the part p with
-    good(p | {w}), and alone holds the good singletons when gamma <= 1
-    (else 0).  The singleton shortfall is then a popcount of the pool
-    against the completer_reach of the placed parts, which place() carries
-    down once the prune applies (it applies at every deeper slot too).
-    Both fill lazily: a search touches a small, graph-dependent share of
-    the 2^n masks, and Graph allows n up to 128.
+    verdict(mask) is good(g, mask) memoized: a search asks about a few
+    thousand masks a million times.  completers(p) is the mask of every w
+    outside the part p with good(p | {w}).  capacities holds C_max by part
+    size, and scanned counts the subsets its scans visited.  All fill
+    lazily, as Graph allows n up to 128.
     """
 
-    def __init__(
-        self,
-        g: Graph,
-        gamma: int,
-        good,
-        deadline: Optional[float] = None,
-        node_cap: Optional[int] = None,
-        rotation_root: bool = False,
-    ):
+    def __init__(self, g: Graph, good):
         self.g = g
-        self.gamma = gamma
-        self.deadline = deadline
-        self.node_cap = node_cap
-        self.rotation_root = rotation_root
-        self.nodes = 0
         full = g.full_mask()
         self.verdict = verdict = functools.cache(lambda m: good(g, m))
         self.completers = functools.cache(
             lambda p: sum(1 << w for w in bits_of(full & ~p) if verdict(p | 1 << w))
         )
-        self.alone = 0
-        if gamma <= 1:
-            self.alone = sum(1 << w for w in range(g.n) if verdict(1 << w))
+        self.capacities: dict[int, int] = {}
+        self.scanned = 0
 
     def completer_reach(self, cands) -> int:
-        """Vertices that complete some part in cands to a good set, or
-        that are good alone."""
-        reach = self.alone
+        """Vertices that complete some part in cands to a good set."""
+        reach = 0
         for p in cands:
             reach |= self.completers(p)
         return reach
+
+    def capacity(self, t: int, tick) -> int:
+        """C_max(t), the most completers of any t-set good rejects; the
+        first call for t scans every t-subset, calling tick() for each."""
+        if t not in self.capacities:
+            best = 0
+            for m in colex_subsets(self.g.n, t):
+                tick()
+                self.scanned += 1
+                if not self.verdict(m):
+                    best = max(best, popcount(self.completers(m)))
+            self.capacities[t] = best
+        return self.capacities[t]
+
+
+class _Engine:
+    """Slot-sequential assignment search for one part-size type.
+
+    memo holds the graph, the predicate parts are judged by (is_ld_mask or
+    is_dominating) and the solve's caches; gamma is the size of the least
+    good set.  Slots are filled in capacity-descending order with
+    lexicographic combinations from the remaining pool; equal-capacity
+    slots keep their least elements increasing, and with rotation_root set
+    (vertex-transitive callers only) the first slot must contain vertex 0.
+    After each placement: the part must not already be good alone, unless
+    it is a singleton and gamma <= 1 (then it stands alone and needs no
+    partner); every placed part must have an exact partner or an
+    optimistic one through the untouched pool; and the capacity rule must
+    hold.
+
+    Capacity rule.  With gamma >= 3, a singleton part {w} needs a partner X
+    with |X| >= gamma - 1 and w in completers(X).  A placed X puts w in
+    pool & reach, reach being the completer_reach of the placed parts; an
+    X still to come partners at most C_max(|X|) singletons.  So with s
+    singletons left after slot i, the search goes on only while
+    popcount(pool & reach) + fut[i + 1] >= s, fut[j] summing C_max over
+    the slots from j on of size >= gamma - 1; fut[0] < s refutes the type
+    before slot 0.  This holds for any predicate.  With gamma <= 2,
+    singletons may partner each other or stand alone: fut is infinite.
+    nodes counts search nodes and scanned subsets alike, for the budget.
+    """
+
+    def __init__(
+        self,
+        memo: _Memo,
+        gamma: int,
+        deadline: Optional[float] = None,
+        node_cap: Optional[int] = None,
+        rotation_root: bool = False,
+    ):
+        self.memo = memo
+        self.gamma = gamma
+        self.deadline = deadline
+        self.node_cap = node_cap
+        self.rotation_root = rotation_root
+        self.nodes = 0
 
     def _tick(self):
         self.nodes += 1
@@ -240,21 +268,30 @@ class _Engine:
 
     def search_type(self, caps: tuple[int, ...]) -> Optional[list[int]]:
         """Masks of a partition realizing the type, or None (exhausted)."""
-        g = self.g
         gamma = self.gamma
-        verdict = self.verdict
-        completers = self.completers
+        memo = self.memo
+        verdict = memo.verdict
+        completers = memo.completers
         k = len(caps)
         singles_after = [0] * (k + 1)
         for i in range(k - 1, -1, -1):
             singles_after[i] = singles_after[i + 1] + (1 if caps[i] == 1 else 0)
+        # fut[i]: the most singletons the slots from i on can partner
+        fut = [math.inf] * (k + 1)
+        if gamma >= 3 and singles_after[0]:
+            fut[k] = 0
+            for i in range(k - 1, -1, -1):
+                big = caps[i] + 1 >= gamma
+                fut[i] = fut[i + 1] + (memo.capacity(caps[i], self._tick) if big else 0)
+            if fut[0] < singles_after[0]:
+                return None
 
         parts: list[int] = []  # placed masks
         mins: list[int] = []  # least element per placed part
         needs: list[bool] = []  # placed part needs (and can be) a partner
 
         # reach: completer_reach of the placed parts, None until the
-        # singleton-shortfall prune first applies
+        # capacity rule first can fail
         def place(
             i: int, pool: int, settled: list[bool], reach: Optional[int]
         ) -> Optional[list[int]]:
@@ -298,17 +335,13 @@ class _Engine:
                             ok = False
                             break
                 reach_i = None
-                if ok:
-                    s = singles_after[i + 1]
-                    cap_future = caps[i + 1] if i + 1 < k else 0
-                    if s > 0 and cap_future + 1 < gamma:
-                        if reach is None:
-                            reach = self.completer_reach(
-                                p for j, p in enumerate(parts) if needs[j]
-                            )
-                        reach_i = reach | completers(m) if needs_i else reach
-                        if popcount(rest & reach_i) < s:
-                            ok = False
+                s = singles_after[i + 1]
+                if ok and fut[i + 1] < s:
+                    # fut is finite, so gamma >= 3 and every part needs a partner
+                    if reach is None:
+                        reach = memo.completer_reach(parts)
+                    reach_i = reach | completers(m)
+                    ok = popcount(rest & reach_i) + fut[i + 1] >= s
                 if ok:
                     parts.append(m)
                     mins.append(combo[0])
@@ -321,19 +354,18 @@ class _Engine:
                     needs.pop()
             return None
 
-        return place(0, (1 << g.n) - 1, [], None)
+        return place(0, memo.g.full_mask(), [], None)
 
 
 def _search_one_type(
-    g: Graph,
+    memo: _Memo,
     gamma: int,
     caps: tuple[int, ...],
-    good,
     deadline: Optional[float],
     node_cap: Optional[int],
     rotation_root: bool,
 ) -> tuple[str, Optional[list[int]], int]:
-    eng = _Engine(g, gamma, good, deadline, node_cap, rotation_root)
+    eng = _Engine(memo, gamma, deadline, node_cap, rotation_root)
     try:
         res = eng.search_type(caps)
     except BudgetExceeded as exc:
@@ -342,16 +374,19 @@ def _search_one_type(
 
 
 def _worker_task(caps: tuple[int, ...]) -> tuple[str, Optional[list[int]], int]:
-    g, gamma, good, deadline, node_cap, rotation = _job
+    memo, gamma, deadline, node_cap, rotation = _job
     # a task that starts after the answer is settled, or after the pool
     # spent its node cap, explores nothing
     if _stop.is_set() or (node_cap is not None and _spent.value > node_cap):
         return ("budget", None, 0)
-    res = _search_one_type(g, gamma, caps, good, deadline, node_cap, rotation)
+    scanned = memo.scanned
+    status, masks, used = _search_one_type(
+        memo, gamma, caps, deadline, node_cap, rotation
+    )
     # the engine added its nodes at each check; add the ones since the last
     with _spent.get_lock():
-        _spent.value += res[2] % _CHECK_EVERY
-    return res
+        _spent.value += used % _CHECK_EVERY
+    return (status, masks, used - (memo.scanned - scanned))
 
 
 def _survivors(
@@ -366,10 +401,9 @@ def _survivors(
 
 
 def _run_types(
-    g: Graph,
+    memo: _Memo,
     gamma: int,
     types: Iterable[tuple[int, ...]],
-    good,
     deadline: Optional[float],
     node_budget: Optional[int],
     rotation_root: bool,
@@ -382,7 +416,9 @@ def _run_types(
     that ran out before an answer; it is None when every type is "unsat".
     A pool runs only for two types or more.  Pooled types are answered in
     order, so a conclusive total counts the same types at any worker
-    count; a "budget" total counts every node the workers explored.  The
+    count; it leaves out the subsets the capacity scans visit, which each
+    pooled worker repeats.  Those count against the node cap, and a
+    "budget" total counts them with every node the workers explored.  The
     workers share one node counter, so the node cap holds for the pool as
     a whole, overrun by at most _CHECK_EVERY nodes per worker.  Once a
     type settles the answer the workers are stopped through a shared flag
@@ -396,15 +432,17 @@ def _run_types(
         for caps in types:
             per_cap = None if node_budget is None else max(0, node_budget - nodes)
             status, masks, used = _search_one_type(
-                g, gamma, caps, good, deadline, per_cap, rotation_root
+                memo, gamma, caps, deadline, per_cap, rotation_root
             )
             nodes += used
-            if status != "unsat":
+            if status == "budget":
                 return (status, caps, masks, nodes)
-        return ("unsat", None, None, nodes)
+            if status == "sat":
+                return (status, caps, masks, nodes - memo.scanned)
+        return ("unsat", None, None, nodes - memo.scanned)
     # the deadline stays absolute: forked workers share CLOCK_MONOTONIC,
     # and a task that starts late must not get a fresh budget
-    job = (g, gamma, good, deadline, node_budget, rotation_root)
+    job = (memo, gamma, deadline, node_budget, rotation_root)
     ctx = multiprocessing.get_context("fork")
     stop = ctx.Event()
     spent = ctx.Value("q", 0)
@@ -467,10 +505,9 @@ def c_l_exact(
     bounds = [("gamma_l", gamma), ("upper_start", kmax)]
     types = _survivors(g.n, range(kmax, 1, -1), gamma, 2 * g.max_degree())
     status, caps, masks, nodes = _run_types(
-        g,
+        _Memo(g, is_ld_mask),
         gamma,
         types,
-        is_ld_mask,
         deadline,
         budget.nodes,
         assume_vertex_transitive,
@@ -532,10 +569,9 @@ def c_l_at_least(
     if only_types is not None:
         types = (t for t in types if t in wanted)
     status, _, masks, nodes = _run_types(
-        g,
+        _Memo(g, is_ld_mask),
         gamma,
         types,
-        is_ld_mask,
         deadline,
         budget.nodes,
         assume_vertex_transitive,
@@ -649,7 +685,7 @@ def plain_coalition_number(
         kmax = min(g.n, g.n - gamma + 2)
     types = _survivors(g.n, range(kmax, 0, -1), gamma, g.max_degree() + 1)
     status, caps, masks, nodes = _run_types(
-        g, gamma, types, is_dominating, deadline, budget.nodes, False, 1
+        _Memo(g, is_dominating), gamma, types, deadline, budget.nodes, False, 1
     )
     if status == "budget":
         raise BudgetExceeded(f"search at size {len(caps)} ran out of budget", nodes)

@@ -71,7 +71,7 @@ def test_cl_at_least_decision(capsys):
 
 
 def test_cl_at_least_reports_its_search(capsys):
-    code, out, _ = run(capsys, ["cl", "--family", "cycle:10", "--at-least", "6"])
+    code, out, _ = run(capsys, ["cl", "--family", "path:14", "--at-least", "6"])
     assert code == 0
     doc = json.loads(out)
     assert (doc["status"], doc["c_l"]) == ("none", None)
@@ -88,7 +88,7 @@ def test_cl_at_least_rejects_k_below_one(capsys):
 def test_cl_budget_inconclusive(capsys):
     code, out, _ = run(
         capsys,
-        ["cl", "--family", "cycle:14", "--at-least", "6", "--budget-seconds", "0.05"],
+        ["cl", "--family", "path:18", "--at-least", "6", "--budget-seconds", "0.05"],
     )
     assert code == 4
     doc = json.loads(out)
@@ -98,7 +98,7 @@ def test_cl_budget_inconclusive(capsys):
 
 def test_budget_env_default(capsys, monkeypatch):
     monkeypatch.setenv("LDC_BUDGET_SECONDS", "0.05")
-    code, out, _ = run(capsys, ["cl", "--family", "cycle:14", "--at-least", "6"])
+    code, out, _ = run(capsys, ["cl", "--family", "path:18", "--at-least", "6"])
     assert code == 4
     assert json.loads(out)["status"] == "inconclusive"
 

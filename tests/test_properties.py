@@ -19,7 +19,7 @@ from locdom.ld import (
     is_ld_set,
     minimalize_ld_set,
 )
-from locdom.solver import _Engine, partitions_of_int
+from locdom.solver import _Memo, partitions_of_int
 
 
 def graph_from_mask(n, mask):
@@ -121,24 +121,18 @@ def test_minimalize_yields_minimal_ld_set(g):
             assert not is_ld_set(g, smaller).ok
 
 
-def completers_by_vertex(g, good, gamma, cands, rest):
-    """The singleton-shortfall count as a scan over the pool's vertices."""
-    return sum(
-        1
-        for w in bits_of(rest)
-        if (gamma <= 1 and good(g, 1 << w))
-        or any(good(g, p | 1 << w) for p in cands)
-    )
+def completers_by_vertex(g, good, cands, rest):
+    """The capacity rule's pool count as a scan over the pool's vertices."""
+    return sum(1 for w in bits_of(rest) if any(good(g, p | 1 << w) for p in cands))
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     small_graphs(min_n=1, max_n=8),
     st.sampled_from([is_ld_mask, is_dominating]),
-    st.integers(0, 3),
     st.data(),
 )
-def test_completer_masks_match_vertex_scan(g, good, gamma, data):
+def test_completer_masks_match_vertex_scan(g, good, data):
     assume(is_connected(g))
     # each vertex lies in one candidate part, in the pool, or in neither
     k = data.draw(st.integers(0, 3))
@@ -146,11 +140,30 @@ def test_completer_masks_match_vertex_scan(g, good, gamma, data):
     cands = [sum(1 << v for v in range(g.n) if where[v] == j) for j in range(k)]
     cands = [p for p in cands if p]
     rest = sum(1 << v for v in range(g.n) if where[v] == k)
-    eng = _Engine(g, gamma, good)
+    memo = _Memo(g, good)
     # twice: the second count reads the caches the first one filled
     for _ in range(2):
-        count = popcount(rest & eng.completer_reach(cands))
-        assert count == completers_by_vertex(g, good, gamma, cands, rest)
+        count = popcount(rest & memo.completer_reach(cands))
+        assert count == completers_by_vertex(g, good, cands, rest)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    small_graphs(min_n=1, max_n=8),
+    st.sampled_from([is_ld_mask, is_dominating]),
+    st.data(),
+)
+def test_capacity_bounds_every_rejected_set(g, good, data):
+    assume(is_connected(g))
+    t = data.draw(st.integers(1, g.n))
+    cap = _Memo(g, good).capacity(t, lambda: None)
+    t_sets = st.sets(st.integers(0, g.n - 1), min_size=t, max_size=t)
+    for part in data.draw(st.lists(t_sets, min_size=1, max_size=8)):
+        m = sum(1 << v for v in part)
+        if not good(g, m):
+            outside = [w for w in range(g.n) if w not in part]
+            count = sum(1 for w in outside if good(g, m | 1 << w))
+            assert cap >= count
 
 
 @settings(max_examples=80, deadline=None)

@@ -77,22 +77,21 @@ def test_pool_never_terminates_live_workers(monkeypatch):
 
     monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", checked_terminate)
     rep = c_l_exact(cycle(10), workers=2)
-    assert (rep.c_l, rep.nodes_explored) == (5, 2347)
-    assert c_l_exact(cycle(10)).nodes_explored == 2347
+    assert (rep.c_l, rep.nodes_explored) == (5, 7)
+    assert c_l_exact(cycle(10)).nodes_explored == 7
 
 
 def test_pooled_tasks_keep_the_parent_deadline(monkeypatch):
     # a task that starts late must not get a fresh budget; the stub runs in
     # the forked workers and hands back the deadline it was given
-    def stub(g, gamma, caps, good, deadline, node_cap, rotation):
+    def stub(memo, gamma, caps, deadline, node_cap, rotation):
         return ("sat", deadline, 0)
 
     monkeypatch.setattr(solver, "_search_one_type", stub)
     deadline = time.monotonic() + 60.0
     types = [(5, 1, 1, 1, 1, 1), (4, 2, 1, 1, 1, 1)]
-    status, _, got, _ = solver._run_types(
-        path(10), 4, types, is_ld_mask, deadline, None, False, 2
-    )
+    memo = solver._Memo(path(10), is_ld_mask)
+    status, _, got, _ = solver._run_types(memo, 4, types, deadline, None, False, 2)
     assert (status, got) == ("sat", deadline)
 
 
@@ -101,7 +100,7 @@ def test_pool_skips_types_queued_behind_the_answer(monkeypatch, tmp_path):
     # after that must return without starting its search
     log = tmp_path / "started.txt"
 
-    def stub(g, gamma, caps, good, deadline, node_cap, rotation):
+    def stub(memo, gamma, caps, deadline, node_cap, rotation):
         with open(log, "a") as fh:
             fh.write(f"{caps}\n")
         if caps == (9, 1):
@@ -111,23 +110,25 @@ def test_pool_skips_types_queued_behind_the_answer(monkeypatch, tmp_path):
 
     monkeypatch.setattr(solver, "_search_one_type", stub)
     types = [(9, 1)] + [(5, 5)] * 19
-    status, decider, _, _ = solver._run_types(
-        path(10), 4, types, is_ld_mask, None, None, False, 2
-    )
+    memo = solver._Memo(path(10), is_ld_mask)
+    status, decider, _, _ = solver._run_types(memo, 4, types, None, None, False, 2)
     assert (status, decider) == ("sat", (9, 1))
     assert len(log.read_text().splitlines()) <= 1 + 2
 
 
 def test_node_budget_holds_across_workers():
-    # each copy of P_14's type is unsat after 128,128 nodes; the four
-    # together overrun a 200,000-node cap at any worker count
-    types = [(5, 5, 1, 1, 1, 1)] * 4
+    # each copy of P_15's type is unsat after 17,870 nodes, and a worker's
+    # first copy first scans the 5,005 6-subsets for C_max(6); no one copy
+    # reaches a 50,000-node cap, but the four together overrun it at any
+    # worker count
+    types = [(6, 3, 3, 1, 1, 1)] * 4
     for workers in (1, 2):
+        memo = solver._Memo(path(15), is_ld_mask)
         status, _, _, nodes = solver._run_types(
-            path(14), 5, types, is_ld_mask, None, 200_000, False, workers
+            memo, 6, types, None, 50_000, False, workers
         )
         assert status == "budget"
-        assert 200_000 < nodes <= 200_000 + workers * solver._CHECK_EVERY
+        assert 50_000 < nodes <= 50_000 + workers * solver._CHECK_EVERY
 
 
 def test_pooled_budget_total_counts_every_node(monkeypatch):
@@ -136,19 +137,18 @@ def test_pooled_budget_total_counts_every_node(monkeypatch):
     # ones since each engine's last check included
     ticks = 5000  # not a multiple of the check interval
 
-    def stub(g, gamma, caps, good, deadline, node_cap, rotation):
+    def stub(memo, gamma, caps, deadline, node_cap, rotation):
         if caps == (6, 4):
             return ("budget", None, 0)
-        eng = solver._Engine(g, gamma, good, deadline, node_cap, rotation)
+        eng = solver._Engine(memo, gamma, deadline, node_cap, rotation)
         for _ in range(ticks):
             eng._tick()
         return ("unsat", None, eng.nodes)
 
     monkeypatch.setattr(solver, "_search_one_type", stub)
     types = [(5, 5)] * 11 + [(6, 4)]
-    status, _, _, nodes = solver._run_types(
-        path(10), 4, types, is_ld_mask, None, 10**9, False, 3
-    )
+    memo = solver._Memo(path(10), is_ld_mask)
+    status, _, _, nodes = solver._run_types(memo, 4, types, None, 10**9, False, 3)
     assert (status, nodes) == ("budget", 11 * ticks)
 
 
@@ -174,30 +174,54 @@ def test_search_judges_each_mask_once(monkeypatch):
 
     monkeypatch.setattr(solver, "is_ld_mask", counted)
     rep = c_l_exact(path(12))
-    assert (rep.c_l, rep.nodes_explored) == (5, 18331)
+    assert (rep.c_l, rep.nodes_explored) == (5, 586)
     assert calls < 5000
-    assert c_l_exact(cycle(12)).nodes_explored == 4364
+    assert c_l_exact(cycle(12)).nodes_explored == 94
 
 
 def test_budget_exhaustion():
-    rep = c_l_exact(cycle(14), budget=Budget(seconds=0.05))
+    # P_18 settles k = 6 only after 1.9M nodes
+    rep = c_l_exact(path(18), budget=Budget(seconds=0.05))
     assert rep.status == "inconclusive"
     assert rep.c_l is None
-    rep = c_l_at_least(cycle(14), 6, budget=Budget(seconds=0.05))
+    rep = c_l_at_least(path(18), 6, budget=Budget(seconds=0.05))
     assert rep.status == "inconclusive"
     assert rep.nodes_explored > 0
 
 
+def test_budgets_bound_the_capacity_scan():
+    # P_24's first surviving type, (9, 9, 1, 1, 1, 1, 1, 1), first scans
+    # the 1,307,504 9-subsets for C_max(9); each subset counts as a node
+    start = time.monotonic()
+    rep = c_l_exact(path(24), budget=Budget(seconds=0.1))
+    assert rep.status == "inconclusive"
+    assert time.monotonic() - start < 0.5
+    rep = c_l_exact(path(24), budget=Budget(nodes=1000))
+    assert (rep.status, rep.nodes_explored) == ("inconclusive", 1001)
+
+
 def test_bounds_name_the_deciding_size():
-    # k = 10..7 are refuted before the node budget runs out inside k = 6
-    rep = c_l_exact(cycle(14), budget=Budget(nodes=5000))
+    # k = 11..7 are refuted (k = 7 by the capacity rule, after scanning
+    # C_max(5)) before the node budget runs out inside k = 6
+    rep = c_l_exact(path(15), budget=Budget(nodes=20_000))
     assert rep.status == "inconclusive"
     assert rep.bounds_used == [
         ("gamma_l", 6),
-        ("upper_start", 10),
+        ("upper_start", 11),
         ("refuted_down_to", 7),
     ]
     assert c_l_exact(path(12)).bounds_used[-1] == ("settled_at", 5)
+
+
+def test_capacity_rule_refutes_before_searching():
+    # two 6-parts of P_17 have at most C_max(6) = 2 completers each, too
+    # few to partner five singletons
+    rep = c_l_at_least(path(17), 7, only_types=[(6, 6, 1, 1, 1, 1, 1)])
+    assert (rep.status, rep.nodes_explored) == ("none", 0)
+    # conclusive counts leave out the scans, which each pooled worker
+    # makes for itself
+    for workers in (1, 2):
+        assert c_l_exact(path(15), workers=workers).nodes_explored == 44_240
 
 
 def test_at_least_decision():

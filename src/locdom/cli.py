@@ -52,18 +52,16 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_budget_args(p: argparse.ArgumentParser) -> None:
-    env = os.environ.get("LDC_BUDGET_SECONDS")
+    # a string default goes through type=float only when this subcommand
+    # runs, so a malformed variable fails it alone, as a parse error
     p.add_argument(
         "--budget-seconds",
         type=float,
-        default=float(env) if env else None,
+        default=os.environ.get("LDC_BUDGET_SECONDS") or None,
         help="wall-clock cap for searches (default: LDC_BUDGET_SECONDS)",
     )
     p.add_argument(
         "--budget-nodes", type=int, default=None, help="search node cap"
-    )
-    p.add_argument(
-        "--workers", type=int, default=1, help="solver processes (default 1)"
     )
 
 
@@ -143,9 +141,9 @@ def cmd_cl(args) -> int:
     g = _load_graph(args)
     budget = _budget(args)
     if args.at_least is not None:
-        rep = c_l_at_least(g, args.at_least, budget=budget, workers=args.workers)
+        rep = c_l_at_least(g, args.at_least, budget=budget)
     else:
-        rep = c_l_exact(g, budget=budget, workers=args.workers)
+        rep = c_l_exact(g, budget=budget)
     _emit(rep.to_json_dict(), args)
     return EXIT_OK if rep.status in ("exact", "none") else EXIT_BUDGET
 
@@ -202,7 +200,6 @@ def cmd_reproduce(args) -> int:
         only=args.only,
         budget_seconds=args.budget_seconds,
         budget_nodes=args.budget_nodes,
-        workers=args.workers,
     )
     if not rep.results:
         print(f"no claims match --only {args.only!r}", file=sys.stderr)

@@ -46,10 +46,14 @@ class Partition:
                     raise PartitionError("part belongs to a graph of different order")
                 out.append(p)
             else:
-                try:
-                    out.append(VertexSet.of(p, n))
-                except ValueError as exc:
-                    raise PartitionError(str(exc)) from None
+                p = list(p)
+                for v in p:
+                    # before any shift: 1 << v is huge for a large v
+                    if not 0 <= v < n:
+                        raise PartitionError(
+                            f"part {len(out)} has vertex {v}, outside 0..{n - 1}"
+                        )
+                out.append(VertexSet.of(p, n))
         union = 0
         total = 0
         for idx, p in enumerate(out):

@@ -280,7 +280,6 @@ def refute_surviving_types(
     n: int,
     family: str,
     budget=None,
-    workers: int = 1,
 ) -> dict:
     """Exhaustively confirm that no surviving type of the k = 6 table is
     realizable, so C_L < 6 for this family member."""
@@ -294,7 +293,6 @@ def refute_surviving_types(
             g,
             6,
             budget=budget,
-            workers=workers,
             assume_vertex_transitive=(family == "cycle"),
             only_types=[t],
         )

@@ -52,11 +52,10 @@ SCHEMA_VERSION = 1
 
 @dataclass
 class ReproContext:
-    """Budget and parallelism shared by one reproduce run."""
+    """The budget shared by one reproduce run."""
 
     budget_seconds: Optional[float] = None
     budget_nodes: Optional[int] = None
-    workers: int = 1
     started: float = 0.0
 
     def __post_init__(self):
@@ -164,7 +163,6 @@ def _cl_values(fam, transitive: bool) -> Callable[[ReproContext], object]:
             rep = c_l_exact(
                 fam(n),
                 budget=ctx.search_budget(),
-                workers=ctx.workers,
                 assume_vertex_transitive=transitive,
             )
             if rep.status == "inconclusive":
@@ -179,9 +177,7 @@ def _type_table(family: str, orders) -> Callable[[ReproContext], object]:
     def compute(ctx: ReproContext):
         out = {}
         for n in orders:
-            rep = refute_surviving_types(
-                n, family, budget=ctx.search_budget(), workers=ctx.workers
-            )
+            rep = refute_surviving_types(n, family, budget=ctx.search_budget())
             out[n] = {
                 "survivors": [list(t) for t in rep["survivors"]],
                 "all_refuted": rep["all_refuted"],
@@ -481,14 +477,11 @@ def run_claims(
     only: Optional[str] = None,
     budget_seconds: Optional[float] = None,
     budget_nodes: Optional[int] = None,
-    workers: int = 1,
 ) -> ReproReport:
     """Run the selected claims in registry order, comparing live values
     against the frozen expectations; a claim that exhausts the budget is
     inconclusive rather than failed."""
-    ctx = ReproContext(
-        budget_seconds=budget_seconds, budget_nodes=budget_nodes, workers=workers
-    )
+    ctx = ReproContext(budget_seconds=budget_seconds, budget_nodes=budget_nodes)
     t0 = time.monotonic()
     results = []
     for claim in select_claims(only):

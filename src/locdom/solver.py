@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -149,22 +148,8 @@ def type_labels(sizes: tuple[int, ...], gamma: int, max_partners: int) -> frozen
 
 # -- assignment search ---------------------------------------------------
 
-# Searches check their budgets and the pool flags every _CHECK_EVERY nodes.
+# Searches check their deadline every _CHECK_EVERY nodes.
 _CHECK_EVERY = 256
-
-# Set in pool workers.  _stop: once one type settles the answer, the parent
-# sets it and the searches still running stop at their next check.  _spent:
-# the nodes all tasks of the pool have explored, so that one node cap holds
-# across the workers.  _job: the search arguments every task shares, all but
-# the type; the workers are forked, so they inherit it unpickled.
-_stop = None
-_spent = None
-_job = None
-
-
-def _worker_init(stop, spent, job) -> None:
-    global _stop, _spent, _job
-    _stop, _spent, _job = stop, spent, job
 
 
 class _Memo:
@@ -254,17 +239,12 @@ class _Engine:
         self.nodes += 1
         if self.node_cap is not None and self.nodes > self.node_cap:
             raise BudgetExceeded("node budget exceeded", self.nodes)
-        if self.nodes % _CHECK_EVERY == 0:
-            if _spent is not None:
-                with _spent.get_lock():
-                    _spent.value += _CHECK_EVERY
-                    total = _spent.value
-                if self.node_cap is not None and total > self.node_cap:
-                    raise BudgetExceeded("pooled node budget exceeded", self.nodes)
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                raise BudgetExceeded("time budget exceeded", self.nodes)
-            if _stop is not None and _stop.is_set():
-                raise BudgetExceeded("another type settled the answer", self.nodes)
+        if (
+            self.nodes % _CHECK_EVERY == 0
+            and self.deadline is not None
+            and time.monotonic() > self.deadline
+        ):
+            raise BudgetExceeded("time budget exceeded", self.nodes)
 
     def search_type(self, caps: tuple[int, ...]) -> Optional[list[int]]:
         """Masks of a partition realizing the type, or None (exhausted)."""
@@ -357,38 +337,6 @@ class _Engine:
         return place(0, memo.g.full_mask(), [], None)
 
 
-def _search_one_type(
-    memo: _Memo,
-    gamma: int,
-    caps: tuple[int, ...],
-    deadline: Optional[float],
-    node_cap: Optional[int],
-    rotation_root: bool,
-) -> tuple[str, Optional[list[int]], int]:
-    eng = _Engine(memo, gamma, deadline, node_cap, rotation_root)
-    try:
-        res = eng.search_type(caps)
-    except BudgetExceeded as exc:
-        return ("budget", None, exc.nodes_explored)
-    return ("sat" if res is not None else "unsat", res, eng.nodes)
-
-
-def _worker_task(caps: tuple[int, ...]) -> tuple[str, Optional[list[int]], int]:
-    memo, gamma, deadline, node_cap, rotation = _job
-    # a task that starts after the answer is settled, or after the pool
-    # spent its node cap, explores nothing
-    if _stop.is_set() or (node_cap is not None and _spent.value > node_cap):
-        return ("budget", None, 0)
-    scanned = memo.scanned
-    status, masks, used = _search_one_type(
-        memo, gamma, caps, deadline, node_cap, rotation
-    )
-    # the engine added its nodes at each check; add the ones since the last
-    with _spent.get_lock():
-        _spent.value += used % _CHECK_EVERY
-    return (status, masks, used - (memo.scanned - scanned))
-
-
 def _survivors(
     n: int, sizes: Iterable[int], gamma: int, cap: int
 ) -> Iterator[tuple[int, ...]]:
@@ -407,60 +355,28 @@ def _run_types(
     deadline: Optional[float],
     node_budget: Optional[int],
     rotation_root: bool,
-    workers: int,
 ) -> tuple[str, Optional[tuple[int, ...]], Optional[list[int]], int]:
     """Search the given types in order; first satisfiable type wins.
 
     Returns (status, deciding type, masks or None, total nodes).  The
     deciding type is the satisfiable one, or for status "budget" the one
     that ran out before an answer; it is None when every type is "unsat".
-    A pool runs only for two types or more.  Pooled types are answered in
-    order, so a conclusive total counts the same types at any worker
-    count; it leaves out the subsets the capacity scans visit, which each
-    pooled worker repeats.  Those count against the node cap, and a
-    "budget" total counts them with every node the workers explored.  The
-    workers share one node counter, so the node cap holds for the pool as
-    a whole, overrun by at most _CHECK_EVERY nodes per worker.  Once a
-    type settles the answer the workers are stopped through a shared flag
-    and joined, never terminated: a worker killed while holding the result
-    queue's lock hangs Pool.terminate().
+    The node cap holds for all the types together.  The subsets the
+    capacity scans visit count against it, and a "budget" total counts
+    them, but a conclusive total leaves them out.
     """
     nodes = 0
-    if workers > 1:
-        types = list(types)  # the pool queues every type at once
-    if workers <= 1 or len(types) < 2:
-        for caps in types:
-            per_cap = None if node_budget is None else max(0, node_budget - nodes)
-            status, masks, used = _search_one_type(
-                memo, gamma, caps, deadline, per_cap, rotation_root
-            )
-            nodes += used
-            if status == "budget":
-                return (status, caps, masks, nodes)
-            if status == "sat":
-                return (status, caps, masks, nodes - memo.scanned)
-        return ("unsat", None, None, nodes - memo.scanned)
-    # the deadline stays absolute: forked workers share CLOCK_MONOTONIC,
-    # and a task that starts late must not get a fresh budget
-    job = (memo, gamma, deadline, node_budget, rotation_root)
-    ctx = multiprocessing.get_context("fork")
-    stop = ctx.Event()
-    spent = ctx.Value("q", 0)
-    pool = ctx.Pool(workers, initializer=_worker_init, initargs=(stop, spent, job))
-    status, decider, masks = "unsat", None, None
-    try:
-        for caps, (status, masks, used) in zip(types, pool.imap(_worker_task, types)):
-            nodes += used
-            if status != "unsat":
-                decider = caps
-                break
-    finally:
-        stop.set()
-        pool.close()
-        pool.join()
-    if status == "budget":
-        nodes = spent.value
-    return (status, decider, masks, nodes)
+    for caps in types:
+        per_cap = None if node_budget is None else max(0, node_budget - nodes)
+        eng = _Engine(memo, gamma, deadline, per_cap, rotation_root)
+        try:
+            masks = eng.search_type(caps)
+        except BudgetExceeded:
+            return ("budget", caps, None, nodes + eng.nodes)
+        nodes += eng.nodes
+        if masks is not None:
+            return ("sat", caps, masks, nodes - memo.scanned)
+    return ("unsat", None, None, nodes - memo.scanned)
 
 
 def _check_transitive_flag(g: Graph) -> None:
@@ -490,6 +406,8 @@ def c_l_exact(
     transitive on vertices (it is unsound otherwise).  A graph whose
     vertices have different distance profiles raises ValueError; that
     check is necessary only, so the caller still vouches for the rest.
+    workers is kept only for existing callers and has no effect: the
+    search is one serial pass.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("C_L search requires a connected graph")
@@ -511,7 +429,6 @@ def c_l_exact(
         deadline,
         budget.nodes,
         assume_vertex_transitive,
-        workers,
     )
     c_l, cert = ("none" if status == "unsat" else None), None
     if status == "sat":
@@ -534,7 +451,6 @@ def c_l_at_least(
     g: Graph,
     k: int,
     budget: Optional[Budget] = None,
-    workers: int = 1,
     assume_vertex_transitive: bool = False,
     only_types: Optional[list] = None,
 ) -> SolveReport:
@@ -575,7 +491,6 @@ def c_l_at_least(
         deadline,
         budget.nodes,
         assume_vertex_transitive,
-        workers,
     )
     cert = certify_masks(g, masks, "the C_L search") if status == "sat" else None
     return SolveReport(
@@ -685,7 +600,7 @@ def plain_coalition_number(
         kmax = min(g.n, g.n - gamma + 2)
     types = _survivors(g.n, range(kmax, 0, -1), gamma, g.max_degree() + 1)
     status, caps, masks, nodes = _run_types(
-        _Memo(g, is_dominating), gamma, types, deadline, budget.nodes, False, 1
+        _Memo(g, is_dominating), gamma, types, deadline, budget.nodes, False
     )
     if status == "budget":
         raise BudgetExceeded(f"search at size {len(caps)} ran out of budget", nodes)

@@ -103,6 +103,21 @@ def test_budget_env_default(capsys, monkeypatch):
     assert json.loads(out)["status"] == "inconclusive"
 
 
+def test_budget_env_malformed(capsys, monkeypatch):
+    # only the subcommands that take a budget parse the variable
+    monkeypatch.setenv("LDC_BUDGET_SECONDS", "abc")
+    code, out, _ = run(capsys, ["gamma-l", "--family", "path:5"])
+    assert (code, out.splitlines()[0]) == (0, "gamma_l = 2")
+    for argv in (["cl", "--family", "path:5"], ["reproduce", "--only", "paths"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "invalid float value: 'abc'" in capsys.readouterr().err
+    monkeypatch.setenv("LDC_BUDGET_SECONDS", "")
+    code, out, _ = run(capsys, ["cl", "--family", "path:5"])
+    assert (code, json.loads(out)["c_l"]) == (0, 4)
+
+
 def test_cl_output_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, ["cl", "--family", "path:5", "--output", str(target)])
@@ -155,6 +170,15 @@ def test_check_partition_malformed(capsys, tmp_path):
     code, _, err = run(capsys, ["check-partition", "--family", "cycle:3", str(pfile)])
     assert code == 2
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("vertex", ["100000000", "-1"])
+def test_check_partition_vertex_out_of_range(capsys, tmp_path, vertex):
+    pfile = tmp_path / "bad.txt"
+    pfile.write_text(f"0 1\n2 {vertex}\n3 4\n")
+    code, _, err = run(capsys, ["check-partition", "--family", "path:5", str(pfile)])
+    assert code == 2
+    assert err == f"error: part 1 has vertex {vertex}, outside 0..4\n"
 
 
 def test_coalition_graph_dot(capsys, tmp_path):

@@ -37,6 +37,8 @@ def test_partition_validation():
         Partition([[0, 1], []], 2)
     with pytest.raises(PartitionError):
         Partition([[0, 3]], 3)
+    with pytest.raises(PartitionError, match="vertex -1"):
+        Partition([[0, -1], [1, 2]], 3)
 
 
 def test_is_ld_coalition():

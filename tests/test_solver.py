@@ -1,4 +1,4 @@
-import multiprocessing.pool
+import os
 import time
 
 import pytest
@@ -58,98 +58,33 @@ def test_oracle_matches_engine_spot():
 
 
 def test_workers_and_rotation_flag():
-    assert c_l_exact(path(8), workers=2).c_l == 5
+    assert c_l_exact(path(8)).c_l == 5
     a = c_l_exact(cycle(10), assume_vertex_transitive=True)
     b = c_l_exact(cycle(10))
     assert a.c_l == b.c_l == 5
+    assert b.nodes_explored == 7
 
 
-def test_pool_never_terminates_live_workers(monkeypatch):
-    # a worker killed while holding the result queue's lock hangs
-    # Pool.terminate(), so the solver must stop and join its workers
-    terminate = multiprocessing.pool.Pool.terminate
+def test_workers_keyword_never_forks(monkeypatch):
+    # c_l_exact keeps the keyword for existing callers and ignores it
+    def no_fork():
+        raise AssertionError("the solver forked")
 
-    def checked_terminate(pool):
-        alive = sum(p.is_alive() for p in pool._pool)
-        if alive:
-            raise AssertionError(f"terminate() called with {alive} live workers")
-        terminate(pool)
-
-    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", checked_terminate)
-    rep = c_l_exact(cycle(10), workers=2)
-    assert (rep.c_l, rep.nodes_explored) == (5, 7)
-    assert c_l_exact(cycle(10)).nodes_explored == 7
+    monkeypatch.setattr(os, "fork", no_fork)
+    serial = c_l_exact(cycle(10), workers=1).to_json_dict()
+    asked = c_l_exact(cycle(10), workers=2).to_json_dict()
+    del serial["elapsed_ms"], asked["elapsed_ms"]
+    assert asked == serial
 
 
-def test_pooled_tasks_keep_the_parent_deadline(monkeypatch):
-    # a task that starts late must not get a fresh budget; the stub runs in
-    # the forked workers and hands back the deadline it was given
-    def stub(memo, gamma, caps, deadline, node_cap, rotation):
-        return ("sat", deadline, 0)
-
-    monkeypatch.setattr(solver, "_search_one_type", stub)
-    deadline = time.monotonic() + 60.0
-    types = [(5, 1, 1, 1, 1, 1), (4, 2, 1, 1, 1, 1)]
-    memo = solver._Memo(path(10), is_ld_mask)
-    status, _, got, _ = solver._run_types(memo, 4, types, deadline, None, False, 2)
-    assert (status, got) == ("sat", deadline)
-
-
-def test_pool_skips_types_queued_behind_the_answer(monkeypatch, tmp_path):
-    # the first type settles the answer at once; a task a worker picks up
-    # after that must return without starting its search
-    log = tmp_path / "started.txt"
-
-    def stub(memo, gamma, caps, deadline, node_cap, rotation):
-        with open(log, "a") as fh:
-            fh.write(f"{caps}\n")
-        if caps == (9, 1):
-            return ("sat", [], 0)
-        time.sleep(0.5)
-        return ("unsat", None, 0)
-
-    monkeypatch.setattr(solver, "_search_one_type", stub)
-    types = [(9, 1)] + [(5, 5)] * 19
-    memo = solver._Memo(path(10), is_ld_mask)
-    status, decider, _, _ = solver._run_types(memo, 4, types, None, None, False, 2)
-    assert (status, decider) == ("sat", (9, 1))
-    assert len(log.read_text().splitlines()) <= 1 + 2
-
-
-def test_node_budget_holds_across_workers():
-    # each copy of P_15's type is unsat after 17,870 nodes, and a worker's
-    # first copy first scans the 5,005 6-subsets for C_max(6); no one copy
-    # reaches a 50,000-node cap, but the four together overrun it at any
-    # worker count
+def test_node_budget_holds_across_types():
+    # each copy of P_15's type is unsat after 17,870 nodes, and the first
+    # copy first scans the 5,005 6-subsets for C_max(6); no one copy
+    # reaches a 50,000-node cap, but the four together overrun it by one
     types = [(6, 3, 3, 1, 1, 1)] * 4
-    for workers in (1, 2):
-        memo = solver._Memo(path(15), is_ld_mask)
-        status, _, _, nodes = solver._run_types(
-            memo, 6, types, None, 50_000, False, workers
-        )
-        assert status == "budget"
-        assert 50_000 < nodes <= 50_000 + workers * solver._CHECK_EVERY
-
-
-def test_pooled_budget_total_counts_every_node(monkeypatch):
-    # more workers than cores share one counter; a "budget" verdict reports
-    # its total, which must hold every node of every finished task, the
-    # ones since each engine's last check included
-    ticks = 5000  # not a multiple of the check interval
-
-    def stub(memo, gamma, caps, deadline, node_cap, rotation):
-        if caps == (6, 4):
-            return ("budget", None, 0)
-        eng = solver._Engine(memo, gamma, deadline, node_cap, rotation)
-        for _ in range(ticks):
-            eng._tick()
-        return ("unsat", None, eng.nodes)
-
-    monkeypatch.setattr(solver, "_search_one_type", stub)
-    types = [(5, 5)] * 11 + [(6, 4)]
-    memo = solver._Memo(path(10), is_ld_mask)
-    status, _, _, nodes = solver._run_types(memo, 4, types, None, 10**9, False, 3)
-    assert (status, nodes) == ("budget", 11 * ticks)
+    memo = solver._Memo(path(15), is_ld_mask)
+    status, _, _, nodes = solver._run_types(memo, 6, types, None, 50_000, False)
+    assert (status, nodes) == ("budget", 50_001)
 
 
 def test_transitive_flag_rejects_unequal_distance_profiles():
@@ -218,10 +153,8 @@ def test_capacity_rule_refutes_before_searching():
     # few to partner five singletons
     rep = c_l_at_least(path(17), 7, only_types=[(6, 6, 1, 1, 1, 1, 1)])
     assert (rep.status, rep.nodes_explored) == ("none", 0)
-    # conclusive counts leave out the scans, which each pooled worker
-    # makes for itself
-    for workers in (1, 2):
-        assert c_l_exact(path(15), workers=workers).nodes_explored == 44_240
+    # conclusive counts leave out the scans
+    assert c_l_exact(path(15)).nodes_explored == 44_240
 
 
 def test_at_least_decision():

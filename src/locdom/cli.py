@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -52,12 +53,10 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_budget_args(p: argparse.ArgumentParser) -> None:
-    # a string default goes through type=float only when this subcommand
-    # runs, so a malformed variable fails it alone, as a parse error
     p.add_argument(
         "--budget-seconds",
         type=float,
-        default=os.environ.get("LDC_BUDGET_SECONDS") or None,
+        default=None,
         help="wall-clock cap for searches (default: LDC_BUDGET_SECONDS)",
     )
     p.add_argument(
@@ -65,14 +64,22 @@ def _add_budget_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _budget(args) -> Optional[Budget]:
-    if args.budget_seconds is None and args.budget_nodes is None:
-        return None
-    if args.budget_seconds is not None and args.budget_seconds <= 0:
-        raise ValueError("budget seconds must be positive")
+def _budget(args) -> Budget:
+    """The budget of a cl or reproduce run.  Only these read
+    LDC_BUDGET_SECONDS, so a malformed value fails them alone."""
+    seconds, source = args.budget_seconds, "--budget-seconds"
+    env = os.environ.get("LDC_BUDGET_SECONDS")
+    if seconds is None and env:
+        source = "LDC_BUDGET_SECONDS"
+        try:
+            seconds = float(env)
+        except ValueError:
+            raise ValueError(f"{source} is not a number: {env!r}")
+    if seconds is not None and not (math.isfinite(seconds) and seconds > 0):
+        raise ValueError(f"{source} must be positive and finite")
     if args.budget_nodes is not None and args.budget_nodes <= 0:
-        raise ValueError("budget nodes must be positive")
-    return Budget(seconds=args.budget_seconds, nodes=args.budget_nodes)
+        raise ValueError("--budget-nodes must be positive")
+    return Budget(seconds=seconds, nodes=args.budget_nodes)
 
 
 def _load_graph(args) -> Graph:
@@ -196,10 +203,9 @@ def cmd_coalition_graph(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    budget = _budget(args)
     rep = run_claims(
-        only=args.only,
-        budget_seconds=args.budget_seconds,
-        budget_nodes=args.budget_nodes,
+        only=args.only, budget_seconds=budget.seconds, budget_nodes=budget.nodes
     )
     if not rep.results:
         print(f"no claims match --only {args.only!r}", file=sys.stderr)

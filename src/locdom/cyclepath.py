@@ -289,13 +289,7 @@ def refute_surviving_types(
     refuted = []
     realized = []
     for t in survivors:
-        rep = c_l_at_least(
-            g,
-            6,
-            budget=budget,
-            assume_vertex_transitive=(family == "cycle"),
-            only_types=[t],
-        )
+        rep = c_l_at_least(g, 6, budget=budget, only_types=[t])
         if rep.status == "inconclusive":
             raise BudgetExceeded(f"type {t} ran out of budget", rep.nodes_explored)
         (refuted if rep.certificate is None else realized).append(t)

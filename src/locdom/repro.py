@@ -156,15 +156,11 @@ def _gamma_closed_form(fam) -> Callable[[ReproContext], object]:
     return compute
 
 
-def _cl_values(fam, transitive: bool) -> Callable[[ReproContext], object]:
+def _cl_values(fam) -> Callable[[ReproContext], object]:
     def compute(ctx: ReproContext):
         out = {}
         for n in range(3, 18):
-            rep = c_l_exact(
-                fam(n),
-                budget=ctx.search_budget(),
-                assume_vertex_transitive=transitive,
-            )
+            rep = c_l_exact(fam(n), budget=ctx.search_budget())
             if rep.status == "inconclusive":
                 raise BudgetExceeded("exact solve hit the budget", rep.nodes_explored)
             out[n] = rep.c_l
@@ -329,13 +325,13 @@ CLAIMS: list[Claim] = [
         id="cycles-cl-values",
         statement="C_L(C_n) solved exactly for 3 <= n <= 17 matches the closed form",
         expected=_cl_formula_dict(c_l_cycle_formula),
-        compute=_cl_values(cycle, True),
+        compute=_cl_values(cycle),
     ),
     Claim(
         id="paths-cl-values",
         statement="C_L(P_n) solved exactly for 3 <= n <= 17 matches the closed form",
         expected=_cl_formula_dict(c_l_path_formula),
-        compute=_cl_values(path, False),
+        compute=_cl_values(path),
     ),
     Claim(
         id="cycles-type-table",

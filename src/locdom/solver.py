@@ -27,7 +27,6 @@ from .coalition import LdcCertificate, certify_masks
 from .graph import (
     DisconnectedGraphError,
     Graph,
-    bfs_distances,
     bits_of,
     is_connected,
     popcount,
@@ -200,13 +199,11 @@ class _Engine:
     is_dominating) and the solve's caches; gamma is the size of the least
     good set.  Slots are filled in capacity-descending order with
     lexicographic combinations from the remaining pool; equal-capacity
-    slots keep their least elements increasing, and with rotation_root set
-    (vertex-transitive callers only) the first slot must contain vertex 0.
-    After each placement: the part must not already be good alone, unless
-    it is a singleton and gamma <= 1 (then it stands alone and needs no
-    partner); every placed part must have an exact partner or an
-    optimistic one through the untouched pool; and the capacity rule must
-    hold.
+    slots keep their least elements increasing.  After each placement: the
+    part must not already be good alone, unless it is a singleton and
+    gamma <= 1 (then it stands alone and needs no partner); every placed
+    part must have an exact partner or an optimistic one through the
+    untouched pool; and the capacity rule must hold.
 
     Capacity rule.  With gamma >= 3, a singleton part {w} needs a partner X
     with |X| >= gamma - 1 and w in completers(X).  A placed X puts w in
@@ -226,13 +223,11 @@ class _Engine:
         gamma: int,
         deadline: Optional[float] = None,
         node_cap: Optional[int] = None,
-        rotation_root: bool = False,
     ):
         self.memo = memo
         self.gamma = gamma
         self.deadline = deadline
         self.node_cap = node_cap
-        self.rotation_root = rotation_root
         self.nodes = 0
 
     def _tick(self):
@@ -280,12 +275,7 @@ class _Engine:
             cap = caps[i]
             floor = mins[-1] if (i > 0 and caps[i - 1] == cap) else -1
             avail = [v for v in bits_of(pool) if v > floor]
-            if self.rotation_root and i == 0:
-                tail = [v for v in avail if v > 0]
-                combos = ((0,) + rest for rest in combinations(tail, cap - 1))
-            else:
-                combos = combinations(avail, cap)
-            for combo in combos:
+            for combo in combinations(avail, cap):
                 self._tick()
                 m = 0
                 for v in combo:
@@ -354,7 +344,6 @@ def _run_types(
     types: Iterable[tuple[int, ...]],
     deadline: Optional[float],
     node_budget: Optional[int],
-    rotation_root: bool,
 ) -> tuple[str, Optional[tuple[int, ...]], Optional[list[int]], int]:
     """Search the given types in order; first satisfiable type wins.
 
@@ -368,7 +357,7 @@ def _run_types(
     nodes = 0
     for caps in types:
         per_cap = None if node_budget is None else max(0, node_budget - nodes)
-        eng = _Engine(memo, gamma, deadline, per_cap, rotation_root)
+        eng = _Engine(memo, gamma, deadline, per_cap)
         try:
             masks = eng.search_type(caps)
         except BudgetExceeded:
@@ -379,17 +368,6 @@ def _run_types(
     return ("unsat", None, None, nodes - memo.scanned)
 
 
-def _check_transitive_flag(g: Graph) -> None:
-    """Raise ValueError unless every vertex has the same BFS distance
-    profile (the count of vertices at each distance), as every
-    vertex-transitive graph does: necessary for the flag, not sufficient."""
-    if len({tuple(sorted(bfs_distances(g, v))) for v in range(g.n)}) > 1:
-        raise ValueError(
-            "assume_vertex_transitive set on a graph that is not "
-            "vertex-transitive: its distance profiles differ"
-        )
-
-
 _REPORT_STATUS = {"sat": "exact", "unsat": "none", "budget": "inconclusive"}
 
 
@@ -397,22 +375,14 @@ def c_l_exact(
     g: Graph,
     budget: Optional[Budget] = None,
     workers: int = 1,
-    assume_vertex_transitive: bool = False,
 ) -> SolveReport:
     """Exact C_L with certificate; "none" when no LDC-partition exists.
 
-    assume_vertex_transitive licenses pinning vertex 0 into the first slot
-    of each type; set it only for graphs whose automorphism group is
-    transitive on vertices (it is unsound otherwise).  A graph whose
-    vertices have different distance profiles raises ValueError; that
-    check is necessary only, so the caller still vouches for the rest.
     workers is kept only for existing callers and has no effect: the
     search is one serial pass.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("C_L search requires a connected graph")
-    if assume_vertex_transitive:
-        _check_transitive_flag(g)
     if g.n <= 2:
         return SolveReport("none", None, [("order", g.n)], status="none")
     start = time.monotonic()
@@ -423,12 +393,7 @@ def c_l_exact(
     bounds = [("gamma_l", gamma), ("upper_start", kmax)]
     types = _survivors(g.n, range(kmax, 1, -1), gamma, 2 * g.max_degree())
     status, caps, masks, nodes = _run_types(
-        _Memo(g, is_ld_mask),
-        gamma,
-        types,
-        deadline,
-        budget.nodes,
-        assume_vertex_transitive,
+        _Memo(g, is_ld_mask), gamma, types, deadline, budget.nodes
     )
     c_l, cert = ("none" if status == "unsat" else None), None
     if status == "sat":
@@ -451,7 +416,6 @@ def c_l_at_least(
     g: Graph,
     k: int,
     budget: Optional[Budget] = None,
-    assume_vertex_transitive: bool = False,
     only_types: Optional[list] = None,
 ) -> SolveReport:
     """Decide whether an LDC-partition with exactly k parts exists.
@@ -459,12 +423,10 @@ def c_l_at_least(
     Status "exact" carries c_l = k and a certificate; "none" is exhaustive:
     no LDC-partition of size exactly k exists (of the given types, when
     only_types restricts the search); "inconclusive" means the budget ran
-    out first.  assume_vertex_transitive is checked as in c_l_exact.
+    out first.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("C_L search requires a connected graph")
-    if assume_vertex_transitive:
-        _check_transitive_flag(g)
     if k < 1:
         raise ValueError("k must be at least 1")
     if only_types is not None:
@@ -485,12 +447,7 @@ def c_l_at_least(
     if only_types is not None:
         types = (t for t in types if t in wanted)
     status, _, masks, nodes = _run_types(
-        _Memo(g, is_ld_mask),
-        gamma,
-        types,
-        deadline,
-        budget.nodes,
-        assume_vertex_transitive,
+        _Memo(g, is_ld_mask), gamma, types, deadline, budget.nodes
     )
     cert = certify_masks(g, masks, "the C_L search") if status == "sat" else None
     return SolveReport(
@@ -600,7 +557,7 @@ def plain_coalition_number(
         kmax = min(g.n, g.n - gamma + 2)
     types = _survivors(g.n, range(kmax, 0, -1), gamma, g.max_degree() + 1)
     status, caps, masks, nodes = _run_types(
-        _Memo(g, is_dominating), gamma, types, deadline, budget.nodes, False
+        _Memo(g, is_dominating), gamma, types, deadline, budget.nodes
     )
     if status == "budget":
         raise BudgetExceeded(f"search at size {len(caps)} ran out of budget", nodes)

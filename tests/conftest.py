@@ -13,7 +13,7 @@ def solve_cache():
         key = (family, n)
         if key not in cache:
             if family == "cycle":
-                cache[key] = c_l_exact(cycle(n), assume_vertex_transitive=True)
+                cache[key] = c_l_exact(cycle(n))
             elif family == "path":
                 cache[key] = c_l_exact(path(n))
             else:

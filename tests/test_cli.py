@@ -104,18 +104,48 @@ def test_budget_env_default(capsys, monkeypatch):
 
 
 def test_budget_env_malformed(capsys, monkeypatch):
-    # only the subcommands that take a budget parse the variable
+    # only the subcommands that take a budget parse the variable, and the
+    # error names the variable, not the flag
     monkeypatch.setenv("LDC_BUDGET_SECONDS", "abc")
     code, out, _ = run(capsys, ["gamma-l", "--family", "path:5"])
     assert (code, out.splitlines()[0]) == (0, "gamma_l = 2")
     for argv in (["cl", "--family", "path:5"], ["reproduce", "--only", "paths"]):
-        with pytest.raises(SystemExit) as info:
-            main(argv)
-        assert info.value.code == 2
-        assert "invalid float value: 'abc'" in capsys.readouterr().err
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "LDC_BUDGET_SECONDS" in err and "--budget-seconds" not in err
+    with pytest.raises(SystemExit) as info:
+        main(["cl", "--family", "path:5", "--budget-seconds", "abc"])
+    assert info.value.code == 2
+    assert "--budget-seconds" in capsys.readouterr().err
     monkeypatch.setenv("LDC_BUDGET_SECONDS", "")
     code, out, _ = run(capsys, ["cl", "--family", "path:5"])
     assert (code, json.loads(out)["c_l"]) == (0, 4)
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [
+        ["--budget-seconds", "nan"],
+        ["--budget-seconds", "inf"],
+        ["--budget-seconds", "-1"],
+        ["--budget-nodes", "0"],
+    ],
+    ids=["nan", "inf", "negative", "zero-nodes"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["cl", "--family", "path:5"], ["reproduce", "--only", "paths-cl"]],
+    ids=["cl", "reproduce"],
+)
+def test_budget_rejected(capsys, monkeypatch, command, budget):
+    code, out, err = run(capsys, command + budget)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + budget[0])
+    if budget[0] == "--budget-seconds":
+        monkeypatch.setenv("LDC_BUDGET_SECONDS", budget[1])
+        code, out, err = run(capsys, command)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: LDC_BUDGET_SECONDS")
 
 
 def test_cl_output_file(capsys, tmp_path):

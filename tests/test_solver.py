@@ -57,12 +57,12 @@ def test_oracle_matches_engine_spot():
         assert c_l_numeric(c_l_exact(g).c_l) == c_l_numeric(c_l_oracle(g))
 
 
-def test_workers_and_rotation_flag():
+def test_path_cycle_and_spider_values():
     assert c_l_exact(path(8)).c_l == 5
-    a = c_l_exact(cycle(10), assume_vertex_transitive=True)
-    b = c_l_exact(cycle(10))
-    assert a.c_l == b.c_l == 5
-    assert b.nodes_explored == 7
+    rep = c_l_exact(cycle(10))
+    assert (rep.c_l, rep.nodes_explored) == (5, 7)
+    assert c_l_exact(spider(3, 2, 2)).c_l == 5
+    assert c_l_at_least(cycle(6), 5).status == "exact"
 
 
 def test_workers_keyword_never_forks(monkeypatch):
@@ -83,18 +83,8 @@ def test_node_budget_holds_across_types():
     # reaches a 50,000-node cap, but the four together overrun it by one
     types = [(6, 3, 3, 1, 1, 1)] * 4
     memo = solver._Memo(path(15), is_ld_mask)
-    status, _, _, nodes = solver._run_types(memo, 6, types, None, 50_000, False)
+    status, _, _, nodes = solver._run_types(memo, 6, types, None, 50_000)
     assert (status, nodes) == ("budget", 50_001)
-
-
-def test_transitive_flag_rejects_unequal_distance_profiles():
-    g = spider(3, 2, 2)  # not vertex-transitive: the flag would give 4
-    assert c_l_exact(g).c_l == 5
-    with pytest.raises(ValueError):
-        c_l_exact(g, assume_vertex_transitive=True)
-    with pytest.raises(ValueError):
-        c_l_at_least(g, 5, assume_vertex_transitive=True)
-    assert c_l_at_least(cycle(6), 5, assume_vertex_transitive=True).status == "exact"
 
 
 def test_search_judges_each_mask_once(monkeypatch):
@@ -112,6 +102,8 @@ def test_search_judges_each_mask_once(monkeypatch):
     assert (rep.c_l, rep.nodes_explored) == (5, 586)
     assert calls < 5000
     assert c_l_exact(cycle(12)).nodes_explored == 94
+    rep = c_l_exact(cycle(15))
+    assert (rep.c_l, rep.nodes_explored) == (5, 116_607)
 
 
 def test_budget_exhaustion():

@@ -57,8 +57,11 @@ def test_oracle_matches_engine_spot():
         assert c_l_numeric(c_l_exact(g).c_l) == c_l_numeric(c_l_oracle(g))
 
 
-def test_path_cycle_and_spider_values():
-    assert c_l_exact(path(8)).c_l == 5
+def test_workers_and_rotation_flag():
+    # no search pins vertex 0 to a rotation class any more: a cycle and a
+    # spider whose vertices differ in distance profile (a pin gives 4) are
+    # solved from the graph alone, whatever the no-op workers keyword says
+    assert c_l_exact(path(8), workers=2).c_l == 5
     rep = c_l_exact(cycle(10))
     assert (rep.c_l, rep.nodes_explored) == (5, 7)
     assert c_l_exact(spider(3, 2, 2)).c_l == 5

@@ -39,7 +39,7 @@ from .families import (
     path,
     star,
 )
-from .ld import gamma_l_value, is_complete, is_star
+from .ld import gamma_l_value, is_complete, is_star, slater_log_lower_bound
 from .solver import (
     Budget,
     BudgetExceeded,
@@ -237,7 +237,7 @@ def _census_slater(ctx: ReproContext):
     for n in range(2, 7):
         gs = enumerate_graphs(n, connected_only=True)
         checked[n] = len(gs)
-        lo = max(1, math.ceil(math.log2(n + 1) - 1))
+        lo = slater_log_lower_bound(n)
         for g in gs:
             gl = gamma_l_value(g)
             if not (lo <= gl <= n - 1):

@@ -10,8 +10,9 @@ parts are judged by: ld.is_ld_mask for C_L, ld.is_dominating for the plain
 coalition number, where a dominating singleton may also stand alone.  A
 capacity rule counts singleton partners from the first slot on: parts that
 can partner a singleton complete at most C_max(size) of them, which can
-refute a type before it is searched.  One predicate memo (_Memo) per solve
-serves every type of that solve.
+refute a type before it is searched.  Each solve builds one _Search,
+which screens the types, searches the survivors and keeps the predicate
+caches and the node count that all of them share.
 """
 
 from __future__ import annotations
@@ -151,59 +152,26 @@ def type_labels(sizes: tuple[int, ...], gamma: int, max_partners: int) -> frozen
 _CHECK_EVERY = 256
 
 
-class _Memo:
-    """The predicate caches one solve shares across all its types.
+class _Search:
+    """One solve: a slot-sequential assignment search over the part-size
+    types that survive type_labels, with the caches all its types share.
 
+    good is the predicate parts are judged by (is_ld_mask or
+    is_dominating) and gamma the size of the least good set.
     verdict(mask) is good(g, mask) memoized: a search asks about a few
     thousand masks a million times.  completers(p) is the mask of every w
     outside the part p with good(p | {w}).  capacities holds C_max by part
     size, and scanned counts the subsets its scans visited.  All fill
-    lazily, as Graph allows n up to 128.
-    """
+    lazily, as Graph allows n up to 128.  nodes counts search nodes and
+    scanned subsets alike, and node_cap bounds that one count.
 
-    def __init__(self, g: Graph, good):
-        self.g = g
-        full = g.full_mask()
-        self.verdict = verdict = functools.cache(lambda m: good(g, m))
-        self.completers = functools.cache(
-            lambda p: sum(1 << w for w in bits_of(full & ~p) if verdict(p | 1 << w))
-        )
-        self.capacities: dict[int, int] = {}
-        self.scanned = 0
-
-    def completer_reach(self, cands) -> int:
-        """Vertices that complete some part in cands to a good set."""
-        reach = 0
-        for p in cands:
-            reach |= self.completers(p)
-        return reach
-
-    def capacity(self, t: int, tick) -> int:
-        """C_max(t), the most completers of any t-set good rejects; the
-        first call for t scans every t-subset, calling tick() for each."""
-        if t not in self.capacities:
-            best = 0
-            for m in colex_subsets(self.g.n, t):
-                tick()
-                self.scanned += 1
-                if not self.verdict(m):
-                    best = max(best, popcount(self.completers(m)))
-            self.capacities[t] = best
-        return self.capacities[t]
-
-
-class _Engine:
-    """Slot-sequential assignment search for one part-size type.
-
-    memo holds the graph, the predicate parts are judged by (is_ld_mask or
-    is_dominating) and the solve's caches; gamma is the size of the least
-    good set.  Slots are filled in capacity-descending order with
-    lexicographic combinations from the remaining pool; equal-capacity
-    slots keep their least elements increasing.  After each placement: the
-    part must not already be good alone, unless it is a singleton and
-    gamma <= 1 (then it stands alone and needs no partner); every placed
-    part must have an exact partner or an optimistic one through the
-    untouched pool; and the capacity rule must hold.
+    Slots are filled in capacity-descending order with lexicographic
+    combinations from the remaining pool; equal-capacity slots keep their
+    least elements increasing.  After each placement: the part must not
+    already be good alone, unless it is a singleton and gamma <= 1 (then
+    it stands alone and needs no partner); every placed part must have an
+    exact partner or an optimistic one through the untouched pool; and
+    the capacity rule must hold.
 
     Capacity rule.  With gamma >= 3, a singleton part {w} needs a partner X
     with |X| >= gamma - 1 and w in completers(X).  A placed X puts w in
@@ -214,21 +182,28 @@ class _Engine:
     the slots from j on of size >= gamma - 1; fut[0] < s refutes the type
     before slot 0.  This holds for any predicate.  With gamma <= 2,
     singletons may partner each other or stand alone: fut is infinite.
-    nodes counts search nodes and scanned subsets alike, for the budget.
     """
 
     def __init__(
         self,
-        memo: _Memo,
+        g: Graph,
+        good,
         gamma: int,
         deadline: Optional[float] = None,
         node_cap: Optional[int] = None,
     ):
-        self.memo = memo
+        self.g = g
         self.gamma = gamma
         self.deadline = deadline
         self.node_cap = node_cap
         self.nodes = 0
+        full = g.full_mask()
+        self.verdict = verdict = functools.cache(lambda m: good(g, m))
+        self.completers = functools.cache(
+            lambda p: sum(1 << w for w in bits_of(full & ~p) if verdict(p | 1 << w))
+        )
+        self.capacities: dict[int, int] = {}
+        self.scanned = 0
 
     def _tick(self):
         self.nodes += 1
@@ -241,12 +216,31 @@ class _Engine:
         ):
             raise BudgetExceeded("time budget exceeded", self.nodes)
 
+    def completer_reach(self, cands) -> int:
+        """Vertices that complete some part in cands to a good set."""
+        reach = 0
+        for p in cands:
+            reach |= self.completers(p)
+        return reach
+
+    def capacity(self, t: int) -> int:
+        """C_max(t), the most completers of any t-set good rejects; the
+        first call for t scans every t-subset, one node each."""
+        if t not in self.capacities:
+            best = 0
+            for m in colex_subsets(self.g.n, t):
+                self._tick()
+                self.scanned += 1
+                if not self.verdict(m):
+                    best = max(best, popcount(self.completers(m)))
+            self.capacities[t] = best
+        return self.capacities[t]
+
     def search_type(self, caps: tuple[int, ...]) -> Optional[list[int]]:
         """Masks of a partition realizing the type, or None (exhausted)."""
         gamma = self.gamma
-        memo = self.memo
-        verdict = memo.verdict
-        completers = memo.completers
+        verdict = self.verdict
+        completers = self.completers
         k = len(caps)
         singles_after = [0] * (k + 1)
         for i in range(k - 1, -1, -1):
@@ -257,7 +251,7 @@ class _Engine:
             fut[k] = 0
             for i in range(k - 1, -1, -1):
                 big = caps[i] + 1 >= gamma
-                fut[i] = fut[i + 1] + (memo.capacity(caps[i], self._tick) if big else 0)
+                fut[i] = fut[i + 1] + (self.capacity(caps[i]) if big else 0)
             if fut[0] < singles_after[0]:
                 return None
 
@@ -309,7 +303,7 @@ class _Engine:
                 if ok and fut[i + 1] < s:
                     # fut is finite, so gamma >= 3 and every part needs a partner
                     if reach is None:
-                        reach = memo.completer_reach(parts)
+                        reach = self.completer_reach(parts)
                     reach_i = reach | completers(m)
                     ok = popcount(rest & reach_i) + fut[i + 1] >= s
                 if ok:
@@ -324,48 +318,32 @@ class _Engine:
                     needs.pop()
             return None
 
-        return place(0, memo.g.full_mask(), [], None)
+        return place(0, self.g.full_mask(), [], None)
 
+    def run(
+        self, sizes: Iterable[int], cap: int
+    ) -> tuple[str, Optional[tuple[int, ...]], Optional[list[int]], int]:
+        """Search, for each part count k in sizes in turn, the k-part types
+        that type_labels (with max_partners cap) does not refute; the first
+        satisfiable type wins.
 
-def _survivors(
-    n: int, sizes: Iterable[int], gamma: int, cap: int
-) -> Iterator[tuple[int, ...]]:
-    """The part-size types with k parts, for each k in sizes in turn, that
-    type_labels does not refute; each is screened only when reached."""
-    for k in sizes:
-        for t in partitions_of_int(n, k):
-            if not type_labels(t, gamma, cap):
-                yield t
-
-
-def _run_types(
-    memo: _Memo,
-    gamma: int,
-    types: Iterable[tuple[int, ...]],
-    deadline: Optional[float],
-    node_budget: Optional[int],
-) -> tuple[str, Optional[tuple[int, ...]], Optional[list[int]], int]:
-    """Search the given types in order; first satisfiable type wins.
-
-    Returns (status, deciding type, masks or None, total nodes).  The
-    deciding type is the satisfiable one, or for status "budget" the one
-    that ran out before an answer; it is None when every type is "unsat".
-    The node cap holds for all the types together.  The subsets the
-    capacity scans visit count against it, and a "budget" total counts
-    them, but a conclusive total leaves them out.
-    """
-    nodes = 0
-    for caps in types:
-        per_cap = None if node_budget is None else max(0, node_budget - nodes)
-        eng = _Engine(memo, gamma, deadline, per_cap)
-        try:
-            masks = eng.search_type(caps)
-        except BudgetExceeded:
-            return ("budget", caps, None, nodes + eng.nodes)
-        nodes += eng.nodes
-        if masks is not None:
-            return ("sat", caps, masks, nodes - memo.scanned)
-    return ("unsat", None, None, nodes - memo.scanned)
+        Returns (status, deciding type, masks or None, nodes).  The deciding
+        type is the satisfiable one, or for status "budget" the one that ran
+        out before an answer; it is None when every type is "unsat".  A
+        "budget" node total counts the capacity scans, a conclusive one
+        leaves them out.
+        """
+        for k in sizes:
+            for caps in partitions_of_int(self.g.n, k):
+                if type_labels(caps, self.gamma, cap):
+                    continue
+                try:
+                    masks = self.search_type(caps)
+                except BudgetExceeded:
+                    return ("budget", caps, None, self.nodes)
+                if masks is not None:
+                    return ("sat", caps, masks, self.nodes - self.scanned)
+        return ("unsat", None, None, self.nodes - self.scanned)
 
 
 _REPORT_STATUS = {"sat": "exact", "unsat": "none", "budget": "inconclusive"}
@@ -391,10 +369,8 @@ def c_l_exact(
     gamma = gamma_l_value(g)
     kmax = min(g.n, g.n - gamma + 2)
     bounds = [("gamma_l", gamma), ("upper_start", kmax)]
-    types = _survivors(g.n, range(kmax, 1, -1), gamma, 2 * g.max_degree())
-    status, caps, masks, nodes = _run_types(
-        _Memo(g, is_ld_mask), gamma, types, deadline, budget.nodes
-    )
+    search = _Search(g, is_ld_mask, gamma, deadline, budget.nodes)
+    status, caps, masks, nodes = search.run(range(kmax, 1, -1), 2 * g.max_degree())
     c_l, cert = ("none" if status == "unsat" else None), None
     if status == "sat":
         c_l = len(caps)
@@ -416,24 +392,17 @@ def c_l_at_least(
     g: Graph,
     k: int,
     budget: Optional[Budget] = None,
-    only_types: Optional[list] = None,
 ) -> SolveReport:
     """Decide whether an LDC-partition with exactly k parts exists.
 
     Status "exact" carries c_l = k and a certificate; "none" is exhaustive:
-    no LDC-partition of size exactly k exists (of the given types, when
-    only_types restricts the search); "inconclusive" means the budget ran
-    out first.
+    no LDC-partition of size exactly k exists; "inconclusive" means the
+    budget ran out first.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("C_L search requires a connected graph")
     if k < 1:
         raise ValueError("k must be at least 1")
-    if only_types is not None:
-        wanted = {tuple(t) for t in only_types}
-        for t in wanted:
-            if tuple(sorted(t, reverse=True)) != t or sum(t) != g.n or len(t) != k:
-                raise ValueError(f"malformed type restriction {t}")
     bounds = [("at_least", k)]
     if g.n <= 2:  # K_1 and K_2 have no LDC-partition
         return SolveReport(None, None, bounds, status="none")
@@ -443,12 +412,8 @@ def c_l_at_least(
     gamma = gamma_l_value(g)
     # above n - gamma_l + 2 parts every type has a part with no possible
     # partner, so the screen alone refutes such a k
-    types = _survivors(g.n, [k], gamma, 2 * g.max_degree())
-    if only_types is not None:
-        types = (t for t in types if t in wanted)
-    status, _, masks, nodes = _run_types(
-        _Memo(g, is_ld_mask), gamma, types, deadline, budget.nodes
-    )
+    search = _Search(g, is_ld_mask, gamma, deadline, budget.nodes)
+    status, _, masks, nodes = search.run([k], 2 * g.max_degree())
     cert = certify_masks(g, masks, "the C_L search") if status == "sat" else None
     return SolveReport(
         c_l=k if cert is not None else None,
@@ -555,10 +520,8 @@ def plain_coalition_number(
         kmax = g.n
     else:
         kmax = min(g.n, g.n - gamma + 2)
-    types = _survivors(g.n, range(kmax, 0, -1), gamma, g.max_degree() + 1)
-    status, caps, masks, nodes = _run_types(
-        _Memo(g, is_dominating), gamma, types, deadline, budget.nodes
-    )
+    search = _Search(g, is_dominating, gamma, deadline, budget.nodes)
+    status, caps, masks, nodes = search.run(range(kmax, 0, -1), g.max_degree() + 1)
     if status == "budget":
         raise BudgetExceeded(f"search at size {len(caps)} ran out of budget", nodes)
     if status == "unsat":

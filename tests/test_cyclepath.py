@@ -55,6 +55,16 @@ def test_gap_round_trip_everywhere():
         assert back.to_sorted_list() == list(combo)
 
 
+def test_gap_configuration_rejects_bad_masks():
+    # a negative mask has no finite bit list; vertex 10 is not on C_5
+    with pytest.raises(ValueError):
+        gap_configuration(5, -1)
+    with pytest.raises(ValueError):
+        gap_configuration(5, 1 << 10)
+    with pytest.raises(ValueError):
+        gap_configuration(5, VertexSet.of([0, 10], 15))
+
+
 def test_gap_rotations():
     cfg = GapConfiguration(15, UNIQUE_C15_GAPS)
     rots = cfg.rotations()
@@ -145,13 +155,15 @@ def test_refute_small_tables():
     rc = refute_surviving_types(10, "cycle")
     assert rc["all_refuted"]
     assert len(rc["survivors"]) == 2
-    assert rc["refuted"] == rc["survivors"]
-    assert rc["realized"] == []
     assert rc["types_total"] == 5
     assert rc["label_killed"] == 3
+    # the capacity rule refutes both C_10 survivors before slot 0
+    assert rc["nodes_explored"] == 0
     rp = refute_surviving_types(12, "path")
     assert rp["all_refuted"]
     assert len(rp["survivors"]) == 2
+    assert rp["nodes_explored"] == 570
+    assert refute_surviving_types(14, "path")["nodes_explored"] == 3_035
 
 
 def test_type_table_tsv():

@@ -19,7 +19,7 @@ from locdom.ld import (
     is_ld_set,
     minimalize_ld_set,
 )
-from locdom.solver import _Memo, partitions_of_int
+from locdom.solver import _Search, partitions_of_int
 
 
 def graph_from_mask(n, mask):
@@ -140,10 +140,10 @@ def test_completer_masks_match_vertex_scan(g, good, data):
     cands = [sum(1 << v for v in range(g.n) if where[v] == j) for j in range(k)]
     cands = [p for p in cands if p]
     rest = sum(1 << v for v in range(g.n) if where[v] == k)
-    memo = _Memo(g, good)
+    search = _Search(g, good, 0)  # gamma does not enter the caches
     # twice: the second count reads the caches the first one filled
     for _ in range(2):
-        count = popcount(rest & memo.completer_reach(cands))
+        count = popcount(rest & search.completer_reach(cands))
         assert count == completers_by_vertex(g, good, cands, rest)
 
 
@@ -156,7 +156,7 @@ def test_completer_masks_match_vertex_scan(g, good, data):
 def test_capacity_bounds_every_rejected_set(g, good, data):
     assume(is_connected(g))
     t = data.draw(st.integers(1, g.n))
-    cap = _Memo(g, good).capacity(t, lambda: None)
+    cap = _Search(g, good, 0).capacity(t)  # gamma does not enter C_max
     t_sets = st.sets(st.integers(0, g.n - 1), min_size=t, max_size=t)
     for part in data.draw(st.lists(t_sets, min_size=1, max_size=8)):
         m = sum(1 << v for v in part)

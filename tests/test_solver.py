@@ -81,13 +81,14 @@ def test_workers_keyword_never_forks(monkeypatch):
 
 
 def test_node_budget_holds_across_types():
-    # each copy of P_15's type is unsat after 17,870 nodes, and the first
-    # copy first scans the 5,005 6-subsets for C_max(6); no one copy
+    # each search of P_15's type is unsat after 17,870 nodes, and the
+    # first one first scans the 5,005 6-subsets for C_max(6); no one search
     # reaches a 50,000-node cap, but the four together overrun it by one
-    types = [(6, 3, 3, 1, 1, 1)] * 4
-    memo = solver._Memo(path(15), is_ld_mask)
-    status, _, _, nodes = solver._run_types(memo, 6, types, None, 50_000)
-    assert (status, nodes) == ("budget", 50_001)
+    search = solver._Search(path(15), is_ld_mask, 6, None, 50_000)
+    with pytest.raises(solver.BudgetExceeded):
+        for _ in range(4):
+            assert search.search_type((6, 3, 3, 1, 1, 1)) is None
+    assert search.nodes == 50_001
 
 
 def test_search_judges_each_mask_once(monkeypatch):
@@ -145,9 +146,11 @@ def test_bounds_name_the_deciding_size():
 
 def test_capacity_rule_refutes_before_searching():
     # two 6-parts of P_17 have at most C_max(6) = 2 completers each, too
-    # few to partner five singletons
-    rep = c_l_at_least(path(17), 7, only_types=[(6, 6, 1, 1, 1, 1, 1)])
-    assert (rep.status, rep.nodes_explored) == ("none", 0)
+    # few to partner five singletons: the type is refuted with no search
+    # node beyond the scan
+    search = solver._Search(path(17), is_ld_mask, 7)
+    assert search.search_type((6, 6, 1, 1, 1, 1, 1)) is None
+    assert search.nodes == search.scanned > 0
     # conclusive counts leave out the scans
     assert c_l_exact(path(15)).nodes_explored == 44_240
 
@@ -156,12 +159,6 @@ def test_at_least_decision():
     cert = c_l_at_least(cycle(6), 5).certificate
     assert cert is not None and cert.verify(cycle(6))
     assert c_l_at_least(cycle(6), 6).status == "none"
-
-
-def test_only_types_restriction():
-    with pytest.raises(ValueError):
-        c_l_at_least(cycle(10), 6, only_types=[(3, 3, 1, 1)])
-    assert c_l_at_least(cycle(10), 6, only_types=[(5, 1, 1, 1, 1, 1)]).status == "none"
 
 
 def test_partitions_of_int():

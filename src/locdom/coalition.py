@@ -224,7 +224,7 @@ def max_singleton_completers(g: Graph, a) -> tuple[int, list[int]]:
     m = as_mask(g, a)
     if is_ld_mask(g, m):
         raise ValueError("set is already an LD-set")
-    completers = singleton_completers(g, m)
+    completers = list(bits_of(singleton_completers(g, m)))
     return len(completers), completers
 
 

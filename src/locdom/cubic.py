@@ -88,7 +88,7 @@ def six_completer_witnesses(g: Graph) -> list[tuple[VertexSet, list[int]]]:
                 m |= 1 << v
             if not is_dominating(g, m) or is_ld_mask(g, m):
                 continue
-            cs = singleton_completers(g, m)
+            cs = list(bits_of(singleton_completers(g, m)))
             if len(cs) == 6:
                 out.append((VertexSet(m, g.n), cs))
     return out

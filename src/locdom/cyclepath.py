@@ -158,7 +158,7 @@ def verify_lemma_ld5_1() -> dict:
         if is_ld_mask(g, m):
             violations.append(("five_set_already_ld", combo))
             continue
-        cs = singleton_completers(g, m)
+        cs = list(bits_of(singleton_completers(g, m)))
         if len(cs) > 1:
             violations.append(("more_than_one_completer", combo, cs))
         elif len(cs) == 1:
@@ -206,7 +206,7 @@ def verify_lemma_ld5_2() -> dict:
         if ld:
             ld_sets += 1
             continue
-        cs = singleton_completers(g, m)
+        cs = list(bits_of(singleton_completers(g, m)))
         k = len(cs)
         histogram[k] = histogram.get(k, 0) + 1
         closed = closed_mask(g, m)

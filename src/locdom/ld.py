@@ -4,7 +4,8 @@ A set S is locating-dominating (an LD-set) when every vertex outside S has a
 non-empty trace N(v) & S and all those traces are pairwise distinct.  The
 module computes the locating-domination number gamma_l and the
 location-domatic number d_loc exactly, at the small orders this project
-targets.
+targets, and holds what the C_L solver shares with them: the predicates,
+their one-pass completer masks and the pruned colex walk.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .graph import (
     bits_of,
     closed_mask,
     is_connected,
+    popcount,
 )
 
 
@@ -59,9 +61,62 @@ def is_ld_mask(g: Graph, m: int) -> bool:
     return True
 
 
-def singleton_completers(g: Graph, m: int) -> list[int]:
-    """Vertices w outside the mask m for which m | {w} is an LD-set."""
-    return [w for w in bits_of(g.full_mask() & ~m) if is_ld_mask(g, m | (1 << w))]
+def singleton_completers(g: Graph, m: int) -> int:
+    """Mask of the vertices w outside m for which m | {w} is an LD-set.
+
+    Adding w gives trace {w} to each vertex that m leaves undominated and
+    adjacent to w, so w must lie in N[u] for all of them, and at most one
+    may stay outside: U = {a, b} needs w in U (so a ~ b), and three or
+    more undominated vertices admit no w at all.  One pass then groups
+    the dominated outside vertices by their trace N(v) & m.  Adding w
+    keeps the classes apart and splits each into the members adjacent to
+    w and the rest, so w completes m iff no class keeps two vertices
+    together: a class {a, b} needs w in it or adjacent to exactly one of
+    a and b, a class {a, b, c} needs w in it and adjacent to exactly one
+    of the other two, and larger classes admit no w.
+    """
+    adj = g.adj
+    out = g.full_mask() & ~m
+    undominated = out & ~closed_mask(g, m)
+    if popcount(undominated) > 2:
+        return 0
+    cand = out
+    for u in bits_of(undominated):
+        cand &= adj[u] | 1 << u
+    if popcount(undominated) == 2:
+        cand &= undominated
+    if not cand:
+        return 0
+    first: dict[int, int] = {}  # trace -> its least vertex
+    shared: dict[int, int] = {}  # trace -> its class, if two or more share it
+    for v in bits_of(out & ~undominated):
+        t = adj[v] & m
+        u = first.setdefault(t, v)
+        if u != v:
+            shared[t] = shared.get(t, 1 << u) | 1 << v
+    for cls in shared.values():
+        size = popcount(cls)
+        if size == 2:
+            a, b = bits_of(cls)
+            cand &= cls | (adj[a] ^ adj[b])
+        elif size == 3:
+            for x in bits_of(cls):
+                if popcount(adj[x] & cls) != 1:
+                    cand &= ~(1 << x)
+            cand &= cls
+        else:
+            return 0
+    return cand
+
+
+def dominating_completers(g: Graph, m: int) -> int:
+    """Mask of the vertices w outside m for which m | {w} dominates: those
+    in N[u] for every vertex u that m leaves undominated."""
+    full = g.full_mask()
+    cand = full & ~m
+    for u in bits_of(full & ~closed_mask(g, m)):
+        cand &= g.adj[u] | 1 << u
+    return cand
 
 
 @dataclass(frozen=True)
@@ -167,51 +222,63 @@ def gamma_l_naive(g: Graph) -> tuple[int, VertexSet]:
     raise AssertionError("unreachable: V itself is an LD-set")
 
 
-def _colex_least_ld(g: Graph, k: int, cadj: tuple[int, ...]) -> Optional[int]:
-    """Colex-least LD-set of size k, or None if no size-k LD-set exists.
+def colex_walk(g: Graph, k: int, cadj: tuple[int, ...], admit, leaf) -> Optional[int]:
+    """First k-set S in colex order with leaf(S) true, or None.
 
     Walks k-subsets in exact colex order (max element chosen first,
-    ascending) and prunes branches that cannot be completed:
-
-    - a vertex with no closed neighbor inside chosen | prefix can never be
-      dominated by any completion;
-    - two vertices outside chosen | prefix whose traces are already fully
-      decided (no neighbors in the undecided zone) and equal can never be
-      separated.
-
-    Both conditions are necessary for every completion, so the first subset
-    reached is exactly the colex-least LD-set of this size.
+    ascending); cadj[v] is N[v].  A node (chosen, limit) may still add any
+    vertex below limit, so it is pruned when some vertex has no closed
+    neighbor in chosen | prefix, as then no completion dominates, or when
+    admit(chosen, limit) is false.  Every leaf reached dominates; walks
+    that want all of them keep leaf false.
     """
     full = g.full_mask()
-    adj = g.adj
+    reach = [0]  # reach[i] = N[{0, ..., i - 1}]
+    for v in range(g.n):
+        reach.append(reach[-1] | cadj[v])
 
-    def feasible(chosen: int, limit: int) -> bool:
-        pool = chosen | ((1 << limit) - 1)
-        free = pool & ~chosen
-        fixed_traces = set()
-        for v in bits_of(full & ~pool):
-            if cadj[v] & pool == 0:
-                return False
-            if adj[v] & free == 0:
-                t = adj[v] & chosen
-                if t == 0 or t in fixed_traces:
-                    return False
-                fixed_traces.add(t)
-        return True
-
-    def descend(chosen: int, limit: int, need: int) -> Optional[int]:
+    def descend(chosen: int, closed: int, limit: int, need: int) -> Optional[int]:
         if need == 0:
-            return chosen if is_ld_mask(g, chosen) else None
+            return chosen if leaf(chosen) else None
         for m in range(need - 1, limit):
             c2 = chosen | (1 << m)
-            if not feasible(c2, m):
+            closed2 = closed | cadj[m]
+            if closed2 | reach[m] != full or not admit(c2, m):
                 continue
-            hit = descend(c2, m, need - 1)
+            hit = descend(c2, closed2, m, need - 1)
             if hit is not None:
                 return hit
         return None
 
-    return descend(0, g.n, k)
+    return descend(0, 0, g.n, k)
+
+
+def _colex_least_ld(g: Graph, k: int, cadj: tuple[int, ...]) -> Optional[int]:
+    """Colex-least LD-set of size k, or None if no size-k LD-set exists.
+
+    Beyond colex_walk's domination test, prunes a node at which two
+    vertices outside chosen | prefix have traces that are already fully
+    decided (no neighbors in the undecided zone) and equal: they can never
+    be separated.  Both conditions are necessary for every completion, so
+    the first subset reached is exactly the colex-least LD-set of this size.
+    """
+    full = g.full_mask()
+    adj = g.adj
+
+    def locatable(chosen: int, limit: int) -> bool:
+        pool = chosen | ((1 << limit) - 1)
+        free = pool & ~chosen
+        fixed_traces = set()
+        for v in bits_of(full & ~pool):
+            if adj[v] & free == 0:
+                # non-empty: colex_walk's domination test has passed
+                t = adj[v] & chosen
+                if t in fixed_traces:
+                    return False
+                fixed_traces.add(t)
+        return True
+
+    return colex_walk(g, k, cadj, locatable, lambda m: is_ld_mask(g, m))
 
 
 def gamma_l(g: Graph) -> tuple[int, VertexSet]:

@@ -6,11 +6,14 @@ arguments that need no assignment search at all (a part size with no
 possible partner, a part size forced to carry too many partners), and
 surviving types go to a slot-sequential assignment search with symmetry
 breaking and incremental partner checks.  The search takes the predicate
-parts are judged by: ld.is_ld_mask for C_L, ld.is_dominating for the plain
-coalition number, where a dominating singleton may also stand alone.  A
-capacity rule counts singleton partners from the first slot on: parts that
-can partner a singleton complete at most C_max(size) of them, which can
-refute a type before it is searched.  Each solve builds one _Search,
+parts are judged by with its completer kernel: ld.is_ld_mask and
+ld.singleton_completers for C_L, ld.is_dominating and
+ld.dominating_completers for the plain coalition number, where a
+dominating singleton may also stand alone.  A capacity rule counts
+singleton partners from the first slot on: parts that can partner a
+singleton complete at most C_max(size) of them, which can refute a type
+before it is searched; C_max comes from a walk over the good sets one
+larger.  Each solve builds one _Search,
 which screens the types, searches the survivors and keeps the predicate
 caches and the node count that all of them share.
 """
@@ -32,7 +35,15 @@ from .graph import (
     is_connected,
     popcount,
 )
-from .ld import colex_subsets, gamma_l_value, is_dominating, is_ld_mask
+from .ld import (
+    colex_subsets,
+    colex_walk,
+    dominating_completers,
+    gamma_l_value,
+    is_dominating,
+    is_ld_mask,
+    singleton_completers,
+)
 
 SCHEMA_VERSION = 1
 
@@ -157,13 +168,15 @@ class _Search:
     types that survive type_labels, with the caches all its types share.
 
     good is the predicate parts are judged by (is_ld_mask or
-    is_dominating) and gamma the size of the least good set.
+    is_dominating), completers its completer kernel (singleton_completers
+    or dominating_completers), and gamma the size of the least good set.
     verdict(mask) is good(g, mask) memoized: a search asks about a few
-    thousand masks a million times.  completers(p) is the mask of every w
-    outside the part p with good(p | {w}).  capacities holds C_max by part
-    size, and scanned counts the subsets its scans visited.  All fill
-    lazily, as Graph allows n up to 128.  nodes counts search nodes and
-    scanned subsets alike, and node_cap bounds that one count.
+    thousand masks a million times.  completers(p), also memoized, is the
+    mask of every w outside the part p with good(p | {w}).  capacities
+    holds C_max by part size, and scanned counts the nodes of the walks
+    that found them.  All fill lazily, as Graph allows n up to 128.
+    nodes counts search nodes and walk nodes alike, and node_cap bounds
+    that one count.
 
     Slots are filled in capacity-descending order with lexicographic
     combinations from the remaining pool; equal-capacity slots keep their
@@ -188,6 +201,7 @@ class _Search:
         self,
         g: Graph,
         good,
+        completers,
         gamma: int,
         deadline: Optional[float] = None,
         node_cap: Optional[int] = None,
@@ -197,11 +211,10 @@ class _Search:
         self.deadline = deadline
         self.node_cap = node_cap
         self.nodes = 0
-        full = g.full_mask()
-        self.verdict = verdict = functools.cache(lambda m: good(g, m))
-        self.completers = functools.cache(
-            lambda p: sum(1 << w for w in bits_of(full & ~p) if verdict(p | 1 << w))
-        )
+        self.good = good
+        self.verdict = functools.cache(lambda m: good(g, m))
+        self.completers = functools.cache(lambda p: completers(g, p))
+        self.cadj = tuple(g.adj[v] | 1 << v for v in range(g.n))
         self.capacities: dict[int, int] = {}
         self.scanned = 0
 
@@ -224,16 +237,40 @@ class _Search:
         return reach
 
     def capacity(self, t: int) -> int:
-        """C_max(t), the most completers of any t-set good rejects; the
-        first call for t scans every t-subset, one node each."""
+        """C_max(t), the most completers of any t-set good rejects.
+
+        w completes a rejected t-set A exactly when A | {w} is a good
+        (t+1)-set, so the first call for t walks the (t+1)-sets that may
+        dominate (colex_walk, one node each) and, at each good one S,
+        counts one completer for every S - v that good rejects.  Every
+        good set dominates, for is_ld_mask and is_dominating alike, so
+        the walk misses none.  No set has more than n - t completers:
+        the walk stops once a count reaches that.  The sets S - v go in
+        the verdict memo, as several good S share one; each leaf is met
+        once, so good judges it directly and the memo stays small.
+        """
         if t not in self.capacities:
-            best = 0
-            for m in colex_subsets(self.g.n, t):
+            g, good, verdict = self.g, self.good, self.verdict
+            most = g.n - t
+            counts: dict[int, int] = {}
+
+            def admit(chosen: int, limit: int) -> bool:
                 self._tick()
                 self.scanned += 1
-                if not self.verdict(m):
-                    best = max(best, popcount(self.completers(m)))
-            self.capacities[t] = best
+                return True
+
+            def leaf(s: int) -> bool:
+                if good(g, s):
+                    for v in bits_of(s):
+                        a = s & ~(1 << v)
+                        if not verdict(a):
+                            counts[a] = counts.get(a, 0) + 1
+                            if counts[a] == most:
+                                return True
+                return False
+
+            colex_walk(g, t + 1, self.cadj, admit, leaf)
+            self.capacities[t] = max(counts.values(), default=0)
         return self.capacities[t]
 
     def search_type(self, caps: tuple[int, ...]) -> Optional[list[int]]:
@@ -369,7 +406,9 @@ def c_l_exact(
     gamma = gamma_l_value(g)
     kmax = min(g.n, g.n - gamma + 2)
     bounds = [("gamma_l", gamma), ("upper_start", kmax)]
-    search = _Search(g, is_ld_mask, gamma, deadline, budget.nodes)
+    search = _Search(
+        g, is_ld_mask, singleton_completers, gamma, deadline, budget.nodes
+    )
     status, caps, masks, nodes = search.run(range(kmax, 1, -1), 2 * g.max_degree())
     c_l, cert = ("none" if status == "unsat" else None), None
     if status == "sat":
@@ -412,7 +451,9 @@ def c_l_at_least(
     gamma = gamma_l_value(g)
     # above n - gamma_l + 2 parts every type has a part with no possible
     # partner, so the screen alone refutes such a k
-    search = _Search(g, is_ld_mask, gamma, deadline, budget.nodes)
+    search = _Search(
+        g, is_ld_mask, singleton_completers, gamma, deadline, budget.nodes
+    )
     status, _, masks, nodes = search.run([k], 2 * g.max_degree())
     cert = certify_masks(g, masks, "the C_L search") if status == "sat" else None
     return SolveReport(
@@ -520,7 +561,9 @@ def plain_coalition_number(
         kmax = g.n
     else:
         kmax = min(g.n, g.n - gamma + 2)
-    search = _Search(g, is_dominating, gamma, deadline, budget.nodes)
+    search = _Search(
+        g, is_dominating, dominating_completers, gamma, deadline, budget.nodes
+    )
     status, caps, masks, nodes = search.run(range(kmax, 0, -1), g.max_degree() + 1)
     if status == "budget":
         raise BudgetExceeded(f"search at size {len(caps)} ran out of budget", nodes)

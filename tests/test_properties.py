@@ -2,14 +2,16 @@ import math
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from locdom.canon import canonical_key, tree_canonical_key
 from locdom.cyclepath import gap_configuration, reconstruct_from_gaps
-from locdom.families import cycle
+from locdom.families import cycle, path, spider
 from locdom.graph import Graph, VertexSet, bits_of, is_connected, popcount
 from locdom.graphio import parse_edge_list, parse_graph6, to_edge_list, to_graph6
 from locdom.ld import (
+    colex_subsets,
+    dominating_completers,
     gamma_l,
     gamma_l_lower_bound,
     gamma_l_naive,
@@ -18,6 +20,7 @@ from locdom.ld import (
     is_ld_mask,
     is_ld_set,
     minimalize_ld_set,
+    singleton_completers,
 )
 from locdom.solver import _Search, partitions_of_int
 
@@ -121,26 +124,42 @@ def test_minimalize_yields_minimal_ld_set(g):
             assert not is_ld_set(g, smaller).ok
 
 
+# each predicate with its completer kernel, as the solvers pair them
+PREDICATES = [(is_ld_mask, singleton_completers), (is_dominating, dominating_completers)]
+
+
+def completer_mask_by_vertex(g, good, m):
+    """The vertices w outside m with good(m | {w}), one vertex at a time."""
+    outside = g.full_mask() & ~m
+    return sum(1 << w for w in bits_of(outside) if good(g, m | 1 << w))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(min_n=1, max_n=8), st.sampled_from(PREDICATES))
+def test_completer_kernels_match_vertex_scan_on_every_mask(g, pair):
+    good, completers = pair
+    # every mask, so good ones, the empty set and V itself too
+    for m in range(1 << g.n):
+        assert completers(g, m) == completer_mask_by_vertex(g, good, m)
+
+
 def completers_by_vertex(g, good, cands, rest):
     """The capacity rule's pool count as a scan over the pool's vertices."""
     return sum(1 for w in bits_of(rest) if any(good(g, p | 1 << w) for p in cands))
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    small_graphs(min_n=1, max_n=8),
-    st.sampled_from([is_ld_mask, is_dominating]),
-    st.data(),
-)
-def test_completer_masks_match_vertex_scan(g, good, data):
+@given(small_graphs(min_n=1, max_n=8), st.sampled_from(PREDICATES), st.data())
+def test_completer_masks_match_vertex_scan(g, pair, data):
     assume(is_connected(g))
+    good, completers = pair
     # each vertex lies in one candidate part, in the pool, or in neither
     k = data.draw(st.integers(0, 3))
     where = data.draw(st.lists(st.integers(-1, k), min_size=g.n, max_size=g.n))
     cands = [sum(1 << v for v in range(g.n) if where[v] == j) for j in range(k)]
     cands = [p for p in cands if p]
     rest = sum(1 << v for v in range(g.n) if where[v] == k)
-    search = _Search(g, good, 0)  # gamma does not enter the caches
+    search = _Search(g, good, completers, 0)  # gamma does not enter the caches
     # twice: the second count reads the caches the first one filled
     for _ in range(2):
         count = popcount(rest & search.completer_reach(cands))
@@ -148,22 +167,22 @@ def test_completer_masks_match_vertex_scan(g, good, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    small_graphs(min_n=1, max_n=8),
-    st.sampled_from([is_ld_mask, is_dominating]),
-    st.data(),
-)
-def test_capacity_bounds_every_rejected_set(g, good, data):
-    assume(is_connected(g))
-    t = data.draw(st.integers(1, g.n))
-    cap = _Search(g, good, 0).capacity(t)  # gamma does not enter C_max
-    t_sets = st.sets(st.integers(0, g.n - 1), min_size=t, max_size=t)
-    for part in data.draw(st.lists(t_sets, min_size=1, max_size=8)):
-        m = sum(1 << v for v in part)
-        if not good(g, m):
-            outside = [w for w in range(g.n) if w not in part]
-            count = sum(1 for w in outside if good(g, m | 1 << w))
-            assert cap >= count
+@given(small_graphs(min_n=1, max_n=8), st.sampled_from(PREDICATES))
+@example(path(12), PREDICATES[0])
+@example(cycle(12), PREDICATES[0])
+@example(spider(3, 3, 3), PREDICATES[1])
+def test_capacity_bounds_every_rejected_set(g, pair):
+    # C_max(t) is the most completers of any rejected t-set: it bounds
+    # every one of them, and some rejected t-set attains it (0 if none)
+    good, completers = pair
+    search = _Search(g, good, completers, 0)  # gamma does not enter C_max
+    for t in range(1, g.n + 1):
+        counts = [
+            popcount(completer_mask_by_vertex(g, good, m))
+            for m in colex_subsets(g.n, t)
+            if not good(g, m)
+        ]
+        assert search.capacity(t) == max(counts, default=0)
 
 
 @settings(max_examples=80, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 
 from locdom import solver
 from locdom.families import complete, cycle, path, spider
-from locdom.ld import is_ld_mask
+from locdom.ld import is_ld_mask, singleton_completers
 from locdom.solver import (
     Budget,
     c_l_at_least,
@@ -82,9 +82,11 @@ def test_workers_keyword_never_forks(monkeypatch):
 
 def test_node_budget_holds_across_types():
     # each search of P_15's type is unsat after 17,870 nodes, and the
-    # first one first scans the 5,005 6-subsets for C_max(6); no one search
+    # first one first walks 1,912 nodes for C_max(6); no one search
     # reaches a 50,000-node cap, but the four together overrun it by one
-    search = solver._Search(path(15), is_ld_mask, 6, None, 50_000)
+    search = solver._Search(
+        path(15), is_ld_mask, singleton_completers, 6, None, 50_000
+    )
     with pytest.raises(solver.BudgetExceeded):
         for _ in range(4):
             assert search.search_type((6, 3, 3, 1, 1, 1)) is None
@@ -121,8 +123,9 @@ def test_budget_exhaustion():
 
 
 def test_budgets_bound_the_capacity_scan():
-    # P_24's first surviving type, (9, 9, 1, 1, 1, 1, 1, 1), first scans
-    # the 1,307,504 9-subsets for C_max(9); each subset counts as a node
+    # P_24's first surviving type, (9, 9, 1, 1, 1, 1, 1, 1), first walks
+    # the 10-sets that may dominate for C_max(9): 58,157 nodes, each
+    # counted as a search node, which take 0.15 s on a 2-core VM
     start = time.monotonic()
     rep = c_l_exact(path(24), budget=Budget(seconds=0.1))
     assert rep.status == "inconclusive"
@@ -132,7 +135,7 @@ def test_budgets_bound_the_capacity_scan():
 
 
 def test_bounds_name_the_deciding_size():
-    # k = 11..7 are refuted (k = 7 by the capacity rule, after scanning
+    # k = 11..7 are refuted (k = 7 by the capacity rule, after the walk for
     # C_max(5)) before the node budget runs out inside k = 6
     rep = c_l_exact(path(15), budget=Budget(nodes=20_000))
     assert rep.status == "inconclusive"
@@ -147,11 +150,11 @@ def test_bounds_name_the_deciding_size():
 def test_capacity_rule_refutes_before_searching():
     # two 6-parts of P_17 have at most C_max(6) = 2 completers each, too
     # few to partner five singletons: the type is refuted with no search
-    # node beyond the scan
-    search = solver._Search(path(17), is_ld_mask, 7)
+    # node beyond the walk for C_max(6)
+    search = solver._Search(path(17), is_ld_mask, singleton_completers, 7)
     assert search.search_type((6, 6, 1, 1, 1, 1, 1)) is None
     assert search.nodes == search.scanned > 0
-    # conclusive counts leave out the scans
+    # conclusive counts leave out the walks
     assert c_l_exact(path(15)).nodes_explored == 44_240
 
 

@@ -203,10 +203,7 @@ def cmd_coalition_graph(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    budget = _budget(args)
-    rep = run_claims(
-        only=args.only, budget_seconds=budget.seconds, budget_nodes=budget.nodes
-    )
+    rep = run_claims(only=args.only, budget=_budget(args))
     if not rep.results:
         print(f"no claims match --only {args.only!r}", file=sys.stderr)
         return EXIT_PARSE

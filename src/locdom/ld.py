@@ -222,17 +222,19 @@ def gamma_l_naive(g: Graph) -> tuple[int, VertexSet]:
     raise AssertionError("unreachable: V itself is an LD-set")
 
 
-def colex_walk(g: Graph, k: int, cadj: tuple[int, ...], admit, leaf) -> Optional[int]:
+def colex_walk(g: Graph, k: int, admit, leaf) -> Optional[int]:
     """First k-set S in colex order with leaf(S) true, or None.
 
     Walks k-subsets in exact colex order (max element chosen first,
-    ascending); cadj[v] is N[v].  A node (chosen, limit) may still add any
-    vertex below limit, so it is pruned when some vertex has no closed
-    neighbor in chosen | prefix, as then no completion dominates, or when
-    admit(chosen, limit) is false.  Every leaf reached dominates; walks
-    that want all of them keep leaf false.
+    ascending).  A node (chosen, limit) may still add any vertex below
+    limit, so it is pruned when some vertex has no closed neighbor in
+    chosen | prefix, as then no completion dominates, or when
+    admit(chosen, limit) is false.  A leaf adds nothing more, so it must
+    dominate by itself: every leaf reached dominates, and walks that want
+    all of them keep leaf false.
     """
     full = g.full_mask()
+    cadj = [g.adj[v] | 1 << v for v in range(g.n)]
     reach = [0]  # reach[i] = N[{0, ..., i - 1}]
     for v in range(g.n):
         reach.append(reach[-1] | cadj[v])
@@ -243,7 +245,8 @@ def colex_walk(g: Graph, k: int, cadj: tuple[int, ...], admit, leaf) -> Optional
         for m in range(need - 1, limit):
             c2 = chosen | (1 << m)
             closed2 = closed | cadj[m]
-            if closed2 | reach[m] != full or not admit(c2, m):
+            later = reach[m] if need > 1 else 0
+            if closed2 | later != full or not admit(c2, m):
                 continue
             hit = descend(c2, closed2, m, need - 1)
             if hit is not None:
@@ -253,7 +256,7 @@ def colex_walk(g: Graph, k: int, cadj: tuple[int, ...], admit, leaf) -> Optional
     return descend(0, 0, g.n, k)
 
 
-def _colex_least_ld(g: Graph, k: int, cadj: tuple[int, ...]) -> Optional[int]:
+def _colex_least_ld(g: Graph, k: int) -> Optional[int]:
     """Colex-least LD-set of size k, or None if no size-k LD-set exists.
 
     Beyond colex_walk's domination test, prunes a node at which two
@@ -278,7 +281,7 @@ def _colex_least_ld(g: Graph, k: int, cadj: tuple[int, ...]) -> Optional[int]:
                 fixed_traces.add(t)
         return True
 
-    return colex_walk(g, k, cadj, locatable, lambda m: is_ld_mask(g, m))
+    return colex_walk(g, k, locatable, lambda m: is_ld_mask(g, m))
 
 
 def gamma_l(g: Graph) -> tuple[int, VertexSet]:
@@ -294,9 +297,8 @@ def gamma_l(g: Graph) -> tuple[int, VertexSet]:
         raise ValueError("gamma_l of the empty graph is undefined")
     if not is_connected(g):
         raise DisconnectedGraphError("gamma_l assumes a connected graph")
-    cadj = tuple(g.adj[v] | (1 << v) for v in range(g.n))
     for k in range(gamma_l_lower_bound(g), g.n + 1):
-        hit = _colex_least_ld(g, k, cadj)
+        hit = _colex_least_ld(g, k)
         if hit is not None:
             return k, VertexSet(hit, g.n)
     raise AssertionError("unreachable: V itself is an LD-set")

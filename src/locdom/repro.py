@@ -50,39 +50,12 @@ from .solver import (
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class ReproContext:
-    """The budget shared by one reproduce run."""
-
-    budget_seconds: Optional[float] = None
-    budget_nodes: Optional[int] = None
-    started: float = 0.0
-
-    def __post_init__(self):
-        if not self.started:
-            self.started = time.monotonic()
-
-    def remaining(self) -> Optional[float]:
-        if self.budget_seconds is None:
-            return None
-        return self.budget_seconds - (time.monotonic() - self.started)
-
-    def out_of_time(self) -> bool:
-        r = self.remaining()
-        return r is not None and r <= 0
-
-    def search_budget(self) -> Optional[Budget]:
-        if self.budget_seconds is None and self.budget_nodes is None:
-            return None
-        return Budget(seconds=self.remaining(), nodes=self.budget_nodes)
-
-
 @dataclass(frozen=True)
 class Claim:
     id: str
     statement: str
     expected: object
-    compute: Callable[[ReproContext], object]
+    compute: Callable[[Optional[Budget]], object]
 
 
 @dataclass
@@ -149,18 +122,18 @@ def _plain(obj):
 # -- claim computations --------------------------------------------------
 
 
-def _gamma_closed_form(fam) -> Callable[[ReproContext], object]:
-    def compute(ctx: ReproContext):
+def _gamma_closed_form(fam) -> Callable[[Optional[Budget]], object]:
+    def compute(budget: Optional[Budget]):
         return {n: gamma_l_value(fam(n)) for n in range(3, 31)}
 
     return compute
 
 
-def _cl_values(fam) -> Callable[[ReproContext], object]:
-    def compute(ctx: ReproContext):
+def _cl_values(fam) -> Callable[[Optional[Budget]], object]:
+    def compute(budget: Optional[Budget]):
         out = {}
         for n in range(3, 18):
-            rep = c_l_exact(fam(n), budget=ctx.search_budget())
+            rep = c_l_exact(fam(n), budget=budget)
             if rep.status == "inconclusive":
                 raise BudgetExceeded("exact solve hit the budget", rep.nodes_explored)
             out[n] = rep.c_l
@@ -169,11 +142,11 @@ def _cl_values(fam) -> Callable[[ReproContext], object]:
     return compute
 
 
-def _type_table(family: str, orders) -> Callable[[ReproContext], object]:
-    def compute(ctx: ReproContext):
+def _type_table(family: str, orders) -> Callable[[Optional[Budget]], object]:
+    def compute(budget: Optional[Budget]):
         out = {}
         for n in orders:
-            rep = refute_surviving_types(n, family, budget=ctx.search_budget())
+            rep = refute_surviving_types(n, family, budget=budget)
             out[n] = {
                 "survivors": [list(t) for t in rep["survivors"]],
                 "all_refuted": rep["all_refuted"],
@@ -183,7 +156,7 @@ def _type_table(family: str, orders) -> Callable[[ReproContext], object]:
     return compute
 
 
-def _five_subset_scan(ctx: ReproContext):
+def _five_subset_scan(budget: Optional[Budget]):
     rep = verify_lemma_ld5_1()
     return {
         "subsets_scanned": rep["subsets_scanned"],
@@ -192,7 +165,7 @@ def _five_subset_scan(ctx: ReproContext):
     }
 
 
-def _six_subset_scan(ctx: ReproContext):
+def _six_subset_scan(budget: Optional[Budget]):
     rep = verify_lemma_ld5_2()
     return {
         "subsets_scanned": rep["subsets_scanned"],
@@ -204,7 +177,7 @@ def _six_subset_scan(ctx: ReproContext):
     }
 
 
-def _census_extremal(ctx: ReproContext):
+def _census_extremal(budget: Optional[Budget]):
     found = census_c_l_equals_n()
     known = [
         path(3), cycle(3), path(4), cycle(4),
@@ -223,7 +196,7 @@ def _census_extremal(ctx: ReproContext):
     }
 
 
-def _census_order5_gamma2(ctx: ReproContext):
+def _census_order5_gamma2(budget: Optional[Budget]):
     gs = enumerate_graphs(5, connected_only=True)
     return {
         "order5_connected": len(gs),
@@ -231,7 +204,7 @@ def _census_order5_gamma2(ctx: ReproContext):
     }
 
 
-def _census_slater(ctx: ReproContext):
+def _census_slater(budget: Optional[Budget]):
     checked = {}
     ok = True
     for n in range(2, 7):
@@ -247,7 +220,7 @@ def _census_slater(ctx: ReproContext):
     return {"checked": checked, "ok": ok}
 
 
-def _census_trees(ctx: ReproContext):
+def _census_trees(budget: Optional[Budget]):
     found = census_trees_c_l_n_minus_1()
     known = [path(5), star(4)]
     checked = {n: len(enumerate_trees(n)) for n in range(3, 9)}
@@ -261,7 +234,7 @@ def _census_trees(ctx: ReproContext):
     }
 
 
-def _cubic_sharpness(ctx: ReproContext):
+def _cubic_sharpness(budget: Optional[Budget]):
     hit = find_sharp_witness(12)
     if hit is None:
         return {"found": False}
@@ -291,10 +264,9 @@ def _cubic_sharpness(ctx: ReproContext):
     }
 
 
-def _plain_coalition_small(ctx: ReproContext):
-    budget = ctx.search_budget  # called per solve: the seconds left shrink
-    cyc = {n: plain_coalition_number(cycle(n), budget=budget()) for n in range(3, 11)}
-    pth = {n: plain_coalition_number(path(n), budget=budget()) for n in range(3, 11)}
+def _plain_coalition_small(budget: Optional[Budget]):
+    cyc = {n: plain_coalition_number(cycle(n), budget=budget) for n in range(3, 11)}
+    pth = {n: plain_coalition_number(path(n), budget=budget) for n in range(3, 11)}
     capped = all(v <= 6 for v in cyc.values()) and all(
         v <= 6 for v in pth.values()
     )
@@ -470,19 +442,18 @@ def select_claims(only: Optional[str] = None) -> list[Claim]:
 
 
 def run_claims(
-    only: Optional[str] = None,
-    budget_seconds: Optional[float] = None,
-    budget_nodes: Optional[int] = None,
+    only: Optional[str] = None, budget: Optional[Budget] = None
 ) -> ReproReport:
     """Run the selected claims in registry order, comparing live values
     against the frozen expectations; a claim that exhausts the budget is
-    inconclusive rather than failed."""
-    ctx = ReproContext(budget_seconds=budget_seconds, budget_nodes=budget_nodes)
+    inconclusive rather than failed.  Every solve gets the same budget, so
+    its seconds cover the whole run and its node cap each solve."""
+    deadline = budget.deadline if budget else None
     t0 = time.monotonic()
     results = []
     for claim in select_claims(only):
         started = time.monotonic()
-        if ctx.out_of_time():
+        if deadline is not None and started >= deadline:
             results.append(
                 ClaimResult(
                     claim.id, claim.statement, claim.expected, None,
@@ -491,7 +462,7 @@ def run_claims(
             )
             continue
         try:
-            computed = claim.compute(ctx)
+            computed = claim.compute(budget)
             status = (
                 "pass"
                 if _plain(computed) == _plain(claim.expected)

@@ -36,7 +36,6 @@ from .graph import (
     popcount,
 )
 from .ld import (
-    colex_subsets,
     colex_walk,
     dominating_completers,
     gamma_l_value,
@@ -58,15 +57,17 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class Budget:
-    """Caps on the assignment search; None means unlimited."""
+    """Caps on a search; None means unlimited.  The seconds run from when
+    the budget is made, so every search given it shares one deadline,
+    while each search counts its own nodes against the node cap."""
 
     seconds: Optional[float] = None
     nodes: Optional[int] = None
+    deadline: Optional[float] = field(init=False, compare=False)
 
-    def deadline(self) -> Optional[float]:
-        if self.seconds is None:
-            return None
-        return time.monotonic() + self.seconds
+    def __post_init__(self):
+        deadline = None if self.seconds is None else time.monotonic() + self.seconds
+        object.__setattr__(self, "deadline", deadline)
 
 
 @dataclass
@@ -173,10 +174,9 @@ class _Search:
     verdict(mask) is good(g, mask) memoized: a search asks about a few
     thousand masks a million times.  completers(p), also memoized, is the
     mask of every w outside the part p with good(p | {w}).  capacities
-    holds C_max by part size, and scanned counts the nodes of the walks
-    that found them.  All fill lazily, as Graph allows n up to 128.
-    nodes counts search nodes and walk nodes alike, and node_cap bounds
-    that one count.
+    holds C_max by part size.  All fill lazily, as Graph allows n up to
+    128.  nodes counts search nodes and walk nodes alike, and the budget's
+    node cap bounds that one count.
 
     Slots are filled in capacity-descending order with lexicographic
     combinations from the remaining pool; equal-capacity slots keep their
@@ -203,20 +203,18 @@ class _Search:
         good,
         completers,
         gamma: int,
-        deadline: Optional[float] = None,
-        node_cap: Optional[int] = None,
+        budget: Optional[Budget] = None,
     ):
+        budget = budget or Budget()
         self.g = g
         self.gamma = gamma
-        self.deadline = deadline
-        self.node_cap = node_cap
+        self.deadline = budget.deadline
+        self.node_cap = budget.nodes
         self.nodes = 0
         self.good = good
         self.verdict = functools.cache(lambda m: good(g, m))
         self.completers = functools.cache(lambda p: completers(g, p))
-        self.cadj = tuple(g.adj[v] | 1 << v for v in range(g.n))
         self.capacities: dict[int, int] = {}
-        self.scanned = 0
 
     def _tick(self):
         self.nodes += 1
@@ -256,7 +254,6 @@ class _Search:
 
             def admit(chosen: int, limit: int) -> bool:
                 self._tick()
-                self.scanned += 1
                 return True
 
             def leaf(s: int) -> bool:
@@ -269,7 +266,7 @@ class _Search:
                                 return True
                 return False
 
-            colex_walk(g, t + 1, self.cadj, admit, leaf)
+            colex_walk(g, t + 1, admit, leaf)
             self.capacities[t] = max(counts.values(), default=0)
         return self.capacities[t]
 
@@ -359,16 +356,16 @@ class _Search:
 
     def run(
         self, sizes: Iterable[int], cap: int
-    ) -> tuple[str, Optional[tuple[int, ...]], Optional[list[int]], int]:
+    ) -> tuple[str, Optional[tuple[int, ...]], Optional[list[int]]]:
         """Search, for each part count k in sizes in turn, the k-part types
         that type_labels (with max_partners cap) does not refute; the first
         satisfiable type wins.
 
-        Returns (status, deciding type, masks or None, nodes).  The deciding
-        type is the satisfiable one, or for status "budget" the one that ran
-        out before an answer; it is None when every type is "unsat".  A
-        "budget" node total counts the capacity scans, a conclusive one
-        leaves them out.
+        Returns (status, deciding type, masks or None).  The deciding type
+        is the satisfiable one, or for status "budget" the one that ran out
+        before an answer; it is None when every type is "unsat".  Either
+        way self.nodes is the count the node cap bounds, so a cap equal to
+        a conclusive count settles the same answer.
         """
         for k in sizes:
             for caps in partitions_of_int(self.g.n, k):
@@ -377,10 +374,10 @@ class _Search:
                 try:
                     masks = self.search_type(caps)
                 except BudgetExceeded:
-                    return ("budget", caps, None, self.nodes)
+                    return ("budget", caps, None)
                 if masks is not None:
-                    return ("sat", caps, masks, self.nodes - self.scanned)
-        return ("unsat", None, None, self.nodes - self.scanned)
+                    return ("sat", caps, masks)
+        return ("unsat", None, None)
 
 
 _REPORT_STATUS = {"sat": "exact", "unsat": "none", "budget": "inconclusive"}
@@ -401,15 +398,11 @@ def c_l_exact(
     if g.n <= 2:
         return SolveReport("none", None, [("order", g.n)], status="none")
     start = time.monotonic()
-    budget = budget or Budget()
-    deadline = budget.deadline()
     gamma = gamma_l_value(g)
     kmax = min(g.n, g.n - gamma + 2)
     bounds = [("gamma_l", gamma), ("upper_start", kmax)]
-    search = _Search(
-        g, is_ld_mask, singleton_completers, gamma, deadline, budget.nodes
-    )
-    status, caps, masks, nodes = search.run(range(kmax, 1, -1), 2 * g.max_degree())
+    search = _Search(g, is_ld_mask, singleton_completers, gamma, budget)
+    status, caps, masks = search.run(range(kmax, 1, -1), 2 * g.max_degree())
     c_l, cert = ("none" if status == "unsat" else None), None
     if status == "sat":
         c_l = len(caps)
@@ -421,7 +414,7 @@ def c_l_exact(
         c_l=c_l,
         certificate=cert,
         bounds_used=bounds,
-        nodes_explored=nodes,
+        nodes_explored=search.nodes,
         elapsed=time.monotonic() - start,
         status=_REPORT_STATUS[status],
     )
@@ -446,21 +439,17 @@ def c_l_at_least(
     if g.n <= 2:  # K_1 and K_2 have no LDC-partition
         return SolveReport(None, None, bounds, status="none")
     start = time.monotonic()
-    budget = budget or Budget()
-    deadline = budget.deadline()
     gamma = gamma_l_value(g)
     # above n - gamma_l + 2 parts every type has a part with no possible
     # partner, so the screen alone refutes such a k
-    search = _Search(
-        g, is_ld_mask, singleton_completers, gamma, deadline, budget.nodes
-    )
-    status, _, masks, nodes = search.run([k], 2 * g.max_degree())
+    search = _Search(g, is_ld_mask, singleton_completers, gamma, budget)
+    status, _, masks = search.run([k], 2 * g.max_degree())
     cert = certify_masks(g, masks, "the C_L search") if status == "sat" else None
     return SolveReport(
         c_l=k if cert is not None else None,
         certificate=cert,
         bounds_used=bounds,
-        nodes_explored=nodes,
+        nodes_explored=search.nodes,
         elapsed=time.monotonic() - start,
         status=_REPORT_STATUS[status],
     )
@@ -533,10 +522,12 @@ def c_l_oracle(g: Graph, good=None) -> Union[int, str]:
 
 
 def _domination_number(g: Graph) -> int:
+    """Least size at which colex_walk reaches a leaf: every leaf it
+    reaches dominates, and it prunes no dominating set."""
+    yes = lambda *_: True
     for size in range(1, g.n + 1):
-        for m in colex_subsets(g.n, size):
-            if is_dominating(g, m):
-                return size
+        if colex_walk(g, size, yes, yes) is not None:
+            return size
     raise AssertionError("V itself always dominates")
 
 
@@ -554,19 +545,17 @@ def plain_coalition_number(
         raise DisconnectedGraphError("coalition search requires a connected graph")
     if g.n == 1:
         return 1  # the single vertex dominates and stands alone
-    budget = budget or Budget()
-    deadline = budget.deadline()
     gamma = _domination_number(g)
     if g.max_degree() == g.n - 1:
         kmax = g.n
     else:
         kmax = min(g.n, g.n - gamma + 2)
-    search = _Search(
-        g, is_dominating, dominating_completers, gamma, deadline, budget.nodes
-    )
-    status, caps, masks, nodes = search.run(range(kmax, 0, -1), g.max_degree() + 1)
+    search = _Search(g, is_dominating, dominating_completers, gamma, budget)
+    status, caps, masks = search.run(range(kmax, 0, -1), g.max_degree() + 1)
     if status == "budget":
-        raise BudgetExceeded(f"search at size {len(caps)} ran out of budget", nodes)
+        raise BudgetExceeded(
+            f"search at size {len(caps)} ran out of budget", search.nodes
+        )
     if status == "unsat":
         return "none"
     if not _valid_coalition_partition(g, masks, is_dominating, True):

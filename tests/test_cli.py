@@ -96,6 +96,16 @@ def test_cl_budget_inconclusive(capsys):
     assert doc["nodes_explored"] > 0
 
 
+def test_cl_node_budget_equal_to_the_count_settles(capsys):
+    _, out, _ = run(capsys, ["cl", "--family", "cycle:10"])
+    nodes = json.loads(out)["nodes_explored"]
+    code, out, _ = run(
+        capsys, ["cl", "--family", "cycle:10", "--budget-nodes", str(nodes)]
+    )
+    assert code == 0
+    assert json.loads(out)["c_l"] == 5
+
+
 def test_budget_env_default(capsys, monkeypatch):
     monkeypatch.setenv("LDC_BUDGET_SECONDS", "0.05")
     code, out, _ = run(capsys, ["cl", "--family", "path:18", "--at-least", "6"])

@@ -157,13 +157,14 @@ def test_refute_small_tables():
     assert len(rc["survivors"]) == 2
     assert rc["types_total"] == 5
     assert rc["label_killed"] == 3
-    # the capacity rule refutes both C_10 survivors before slot 0
-    assert rc["nodes_explored"] == 0
+    # the capacity rule refutes both C_10 survivors before slot 0: the
+    # count is the walk for C_max alone
+    assert rc["nodes_explored"] == 64
     rp = refute_surviving_types(12, "path")
     assert rp["all_refuted"]
     assert len(rp["survivors"]) == 2
-    assert rp["nodes_explored"] == 570
-    assert refute_surviving_types(14, "path")["nodes_explored"] == 3_035
+    assert rp["nodes_explored"] == 690
+    assert refute_surviving_types(14, "path")["nodes_explored"] == 3_396
 
 
 def test_type_table_tsv():

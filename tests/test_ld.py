@@ -114,9 +114,9 @@ def test_gamma_l_searches_only_from_the_bound(monkeypatch):
     calls = []
     search = ld._colex_least_ld
 
-    def counted(g, k, cadj):
+    def counted(g, k):
         calls.append(k)
-        return search(g, k, cadj)
+        return search(g, k)
 
     monkeypatch.setattr(ld, "_colex_least_ld", counted)
     for g in (path(30), cycle(30)):

@@ -11,6 +11,7 @@ from locdom.graph import Graph, VertexSet, bits_of, is_connected, popcount
 from locdom.graphio import parse_edge_list, parse_graph6, to_edge_list, to_graph6
 from locdom.ld import (
     colex_subsets,
+    colex_walk,
     dominating_completers,
     gamma_l,
     gamma_l_lower_bound,
@@ -141,6 +142,23 @@ def test_completer_kernels_match_vertex_scan_on_every_mask(g, pair):
     # every mask, so good ones, the empty set and V itself too
     for m in range(1 << g.n):
         assert completers(g, m) == completer_mask_by_vertex(g, good, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(min_n=1, max_n=9), st.data())
+def test_colex_walk_reaches_exactly_the_dominating_sets(g, data):
+    # the walk prunes only where no completion dominates, and every leaf
+    # it reaches dominates: its leaves are the dominating k-sets, in order
+    k = data.draw(st.integers(1, g.n))
+    leaves = []
+
+    def leaf(s):
+        leaves.append(s)
+        return False
+
+    assert colex_walk(g, k, lambda chosen, limit: True, leaf) is None
+    assert all(is_dominating(g, s) for s in leaves)
+    assert leaves == [m for m in colex_subsets(g.n, k) if is_dominating(g, m)]
 
 
 def completers_by_vertex(g, good, cands, rest):

@@ -1,4 +1,5 @@
 from locdom.repro import _plain, claim_ids, run_claims, select_claims
+from locdom.solver import Budget
 
 
 def test_claim_registry():
@@ -56,10 +57,21 @@ def test_run_cheap_census_claims():
 
 
 def test_budget_makes_heavy_claim_inconclusive():
-    rep = run_claims(only="cycles-cl-values", budget_seconds=0.05)
+    rep = run_claims(only="cycles-cl-values", budget=Budget(seconds=0.05))
     assert not rep.overall_pass
     assert rep.budget_hit
     assert rep.results[0].status == "inconclusive"
+
+
+def test_reproduce_run_shares_its_seconds():
+    # the seconds cover the whole run: the first claim spends them, so the
+    # second starts out of time and runs nothing
+    rep = run_claims(only="cl-values", budget=Budget(seconds=0.05))
+    assert [(r.id, r.status) for r in rep.results] == [
+        ("cycles-cl-values", "inconclusive"),
+        ("paths-cl-values", "inconclusive"),
+    ]
+    assert rep.results[1].elapsed == 0
 
 
 def test_plain_projection():
@@ -69,7 +81,7 @@ def test_plain_projection():
 
 
 def test_plain_coalition_claim_keeps_the_node_budget():
-    rep = run_claims(only="plain-coalition", budget_nodes=1)
+    rep = run_claims(only="plain-coalition", budget=Budget(nodes=1))
     assert [(r.id, r.status) for r in rep.results] == [
         ("plain-coalition-small", "inconclusive")
     ]

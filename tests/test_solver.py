@@ -63,7 +63,7 @@ def test_workers_and_rotation_flag():
     # solved from the graph alone, whatever the no-op workers keyword says
     assert c_l_exact(path(8), workers=2).c_l == 5
     rep = c_l_exact(cycle(10))
-    assert (rep.c_l, rep.nodes_explored) == (5, 7)
+    assert (rep.c_l, rep.nodes_explored) == (5, 209)
     assert c_l_exact(spider(3, 2, 2)).c_l == 5
     assert c_l_at_least(cycle(6), 5).status == "exact"
 
@@ -82,10 +82,10 @@ def test_workers_keyword_never_forks(monkeypatch):
 
 def test_node_budget_holds_across_types():
     # each search of P_15's type is unsat after 17,870 nodes, and the
-    # first one first walks 1,912 nodes for C_max(6); no one search
-    # reaches a 50,000-node cap, but the four together overrun it by one
+    # first one first walks 1,183 nodes for C_max(6); no one search
+    # reaches a 50,000-node cap, but the third one overruns it by one
     search = solver._Search(
-        path(15), is_ld_mask, singleton_completers, 6, None, 50_000
+        path(15), is_ld_mask, singleton_completers, 6, Budget(nodes=50_000)
     )
     with pytest.raises(solver.BudgetExceeded):
         for _ in range(4):
@@ -105,11 +105,11 @@ def test_search_judges_each_mask_once(monkeypatch):
 
     monkeypatch.setattr(solver, "is_ld_mask", counted)
     rep = c_l_exact(path(12))
-    assert (rep.c_l, rep.nodes_explored) == (5, 586)
+    assert (rep.c_l, rep.nodes_explored) == (5, 1_062)
     assert calls < 5000
-    assert c_l_exact(cycle(12)).nodes_explored == 94
+    assert c_l_exact(cycle(12)).nodes_explored == 285
     rep = c_l_exact(cycle(15))
-    assert (rep.c_l, rep.nodes_explored) == (5, 116_607)
+    assert (rep.c_l, rep.nodes_explored) == (5, 119_385)
 
 
 def test_budget_exhaustion():
@@ -124,8 +124,9 @@ def test_budget_exhaustion():
 
 def test_budgets_bound_the_capacity_scan():
     # P_24's first surviving type, (9, 9, 1, 1, 1, 1, 1, 1), first walks
-    # the 10-sets that may dominate for C_max(9): 58,157 nodes, each
-    # counted as a search node, which take 0.15 s on a 2-core VM
+    # the 10-sets that may dominate for C_max(9): 23,359 nodes, each
+    # counted as a search node, which take 0.05 s on a 2-core VM; the
+    # time budget ends soon after the walk, the node budget inside it
     start = time.monotonic()
     rep = c_l_exact(path(24), budget=Budget(seconds=0.1))
     assert rep.status == "inconclusive"
@@ -153,9 +154,44 @@ def test_capacity_rule_refutes_before_searching():
     # node beyond the walk for C_max(6)
     search = solver._Search(path(17), is_ld_mask, singleton_completers, 7)
     assert search.search_type((6, 6, 1, 1, 1, 1, 1)) is None
-    assert search.nodes == search.scanned > 0
-    # conclusive counts leave out the walks
-    assert c_l_exact(path(15)).nodes_explored == 44_240
+    walk = solver._Search(path(17), is_ld_mask, singleton_completers, 7)
+    assert walk.capacity(6) == 2
+    assert search.nodes == walk.nodes == 938
+    # every count includes the walks
+    assert c_l_exact(path(15)).nodes_explored == 46_511
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda budget: c_l_exact(cycle(10), budget=budget),
+        lambda budget: c_l_exact(cycle(12), budget=budget),
+        lambda budget: c_l_exact(path(12), budget=budget),
+        lambda budget: c_l_exact(path(15), budget=budget),
+        lambda budget: c_l_at_least(path(12), 6, budget=budget),
+    ],
+    ids=["C10", "C12", "P12", "P15", "P12-at-least-6"],
+)
+def test_node_budget_equal_to_the_count_settles(solve):
+    # nodes_explored is the count the node cap bounds: a cap equal to it
+    # reproduces the report, and one node fewer does not settle the solve
+    rep = solve(None)
+    doc = rep.to_json_dict()
+    again = solve(Budget(nodes=rep.nodes_explored)).to_json_dict()
+    del doc["elapsed_ms"], again["elapsed_ms"]
+    assert again == doc
+    assert solve(Budget(nodes=rep.nodes_explored - 1)).status == "inconclusive"
+
+
+def test_budget_fixes_its_deadline_when_made():
+    budget = Budget(seconds=0.05)
+    assert budget.deadline is not None and budget == Budget(seconds=0.05)
+    assert Budget().deadline is None
+    time.sleep(0.06)
+    # the deadline passed before the solve began, so its first deadline
+    # check stops it
+    rep = c_l_exact(path(18), budget=budget)
+    assert (rep.status, rep.nodes_explored) == ("inconclusive", 256)
 
 
 def test_at_least_decision():

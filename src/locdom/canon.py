@@ -1,10 +1,12 @@
 """Canonical forms for isomorphism-free enumeration of small graphs.
 
-The generic key is the lexicographically least upper-triangle adjacency
-bitstring over all vertex orderings, read column by column (the same bit
-order the graph6 encoding uses), found by backtracking over partial
-orderings with prefix pruning.  Trees get a separate rooted encoding that
-scales past the generic desk-scale cap.
+The generic key refines an ordered vertex partition to an equitable one
+and individualizes each vertex of its first non-singleton cell in turn,
+after McKay and Piperno, "Practical graph isomorphism II" (J. Symb.
+Comput. 2014).  Each discrete leaf of that search orders the vertices; the
+key is the least upper-triangle adjacency bitstring over the leaves, read
+column by column (the bit order graph6 uses).  Trees get a separate rooted
+encoding that scales past the generic desk-scale cap.
 """
 
 from __future__ import annotations
@@ -14,15 +16,39 @@ from itertools import permutations
 from .graph import Graph, bits_of
 
 MAX_CANON_ORDER = 8
+_MEMBERS = [list(bits_of(m)) for m in range(1 << MAX_CANON_ORDER)]
+
+
+def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> list[int]:
+    """Split each cell (a vertex mask) by its vertices' neighbour counts in
+    the queued splitters, subcells in count order and queued in turn, until
+    the ordered partition is equitable.  Every step is label-invariant."""
+    while queue and len(cells) < len(adj):
+        w = queue.pop(0)
+        out = []
+        for cell in cells:
+            if cell & (cell - 1):
+                groups: dict[int, int] = {}
+                for v in _MEMBERS[cell]:
+                    c = (adj[v] & w).bit_count()
+                    groups[c] = groups.get(c, 0) | 1 << v
+                if len(groups) > 1:
+                    parts = [groups[c] for c in sorted(groups)]
+                    out += parts
+                    queue += parts
+                    continue
+            out.append(cell)
+        cells = out
+    return cells
 
 
 def canonical_key(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Hashable isomorphism invariant: (n, least column bitstring).
 
     Column j (1 <= j < n) is the j-bit integer of adjacencies between the
-    j-th placed vertex and the earlier ones, first-placed highest bit.
-    Exact minimum over all orderings; two graphs share a key iff they are
-    isomorphic.
+    j-th vertex of a leaf ordering and the earlier ones, first vertex
+    highest bit.  The search is label-invariant and every leaf reads an
+    adjacency matrix of g, so two graphs share a key iff they are isomorphic.
     """
     n = g.n
     if n > MAX_CANON_ORDER:
@@ -32,40 +58,34 @@ def canonical_key(g: Graph) -> tuple[int, tuple[int, ...]]:
     if n <= 1:
         return (n, ())
     adj = g.adj
-    sentinel = 1 << n  # larger than any j-bit column
-    best = [sentinel] * (n - 1)
-    perm: list[int] = []
-    used = [False] * n
+    leaves = []
 
-    def descend(depth: int):
-        if depth == n:
+    def descend(cells: list[int], queue: list[int]):
+        cells = _refine(adj, cells, queue)
+        for i, cell in enumerate(cells):
+            if cell & (cell - 1):
+                break
+        else:
+            order = [c.bit_length() - 1 for c in cells]
+            cols = [0] * n
+            for j, v in enumerate(order):
+                for u in order[:j]:
+                    cols[j] = (cols[j] << 1) | ((adj[u] >> v) & 1)
+            leaves.append(tuple(cols[1:]))
             return
-        cands = []
-        for v in range(n):
-            if used[v]:
-                continue
-            c = 0
-            for u in perm:
-                c = (c << 1) | ((adj[u] >> v) & 1)
-            cands.append((c, v))
-        cands.sort()
-        for c, v in cands:
-            if depth >= 1:
-                if c > best[depth - 1]:
-                    break  # ascending candidates: the rest are worse
-                if c < best[depth - 1]:
-                    best[depth - 1] = c
-                    for i in range(depth, n - 1):
-                        best[i] = sentinel
-            perm.append(v)
-            used[v] = True
-            descend(depth + 1)
-            perm.pop()
-            used[v] = False
+        # Skip v if a tried w in its cell is a twin (N(v) - w = N(w) - v):
+        # swapping them is an automorphism fixing every cell, so v's subtree
+        # reads the same bitstrings.  The parent is equitable, so {v} is the
+        # only splitter the child needs.
+        tried: list[int] = []
+        for v in _MEMBERS[cell]:
+            if all(adj[v] & ~(1 << w) != adj[w] & ~(1 << v) for w in tried):
+                tried.append(v)
+                descend(cells[:i] + [1 << v, cell ^ 1 << v] + cells[i + 1 :], [1 << v])
 
-    descend(0)
-    assert all(c < sentinel for c in best)
-    return (n, tuple(best))
+    # V as the first splitter gives the degree partition, cells by degree
+    descend([(1 << n) - 1], [(1 << n) - 1])
+    return (n, min(leaves))
 
 
 def canonical_key_naive(g: Graph) -> tuple[int, tuple[int, ...]]:

@@ -59,13 +59,19 @@ class BudgetExceeded(RuntimeError):
 class Budget:
     """Caps on a search; None means unlimited.  The seconds run from when
     the budget is made, so every search given it shares one deadline,
-    while each search counts its own nodes against the node cap."""
+    while each search counts its own nodes against the node cap.  Seconds
+    must be finite and positive and nodes positive: a NaN deadline never
+    passes, and a cap below one stops every search at its first node."""
 
     seconds: Optional[float] = None
     nodes: Optional[int] = None
     deadline: Optional[float] = field(init=False, compare=False)
 
     def __post_init__(self):
+        if self.seconds is not None and not (math.isfinite(self.seconds) and self.seconds > 0):
+            raise ValueError(f"budget seconds must be positive and finite, not {self.seconds!r}")
+        if self.nodes is not None and self.nodes <= 0:
+            raise ValueError(f"budget nodes must be positive, not {self.nodes!r}")
         deadline = None if self.seconds is None else time.monotonic() + self.seconds
         object.__setattr__(self, "deadline", deadline)
 

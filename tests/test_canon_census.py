@@ -1,5 +1,7 @@
+import random
 from itertools import permutations
 
+from locdom import canon
 from locdom.canon import (
     are_isomorphic,
     canonical_key,
@@ -14,13 +16,49 @@ from locdom.census import (
     enumerate_trees,
     labeled_trees,
 )
-from locdom.families import complete, cycle, path, star
+from locdom.cubic import prism
+from locdom.families import complete, complete_bipartite, cycle, path, star
+from locdom.graph import Graph
 
 
 def test_canonical_key_matches_naive_small():
-    for n in range(1, 6):
+    # The key picks its own representative, so it need not equal the
+    # lex-least one; it must induce the same classes.  Over all 208 graphs
+    # of order <= 6 and a relabelled copy of each, two keys are equal
+    # exactly when the oracle's keys are.
+    rng = random.Random(0)
+    graphs = []
+    for n in range(1, 7):
         for g in enumerate_graphs(n, connected_only=False):
-            assert canonical_key(g) == canonical_key_naive(g)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            graphs += [g, g.relabeled(perm)]
+    assert len(graphs) == 2 * sum(ALL_GRAPH_COUNTS[:6]) == 416
+    pairs = {(canonical_key(g), canonical_key_naive(g)) for g in graphs}
+    assert len(pairs) == len({k for k, _ in pairs}) == len({k for _, k in pairs}) == 208
+
+
+def test_symmetric_graphs_keep_the_search_small(monkeypatch):
+    # Twin skipping and refinement keep highly symmetric graphs from
+    # costing n! leaves: K_8 would take 40,320 without the skip.
+    nodes = []
+    refine = canon._refine
+    monkeypatch.setattr(canon, "_refine", lambda *a: nodes.append(1) or refine(*a))
+    minus_matching = Graph(8, [(i, 4 + j) for i in range(4) for j in range(4) if i != j])
+    graphs = [complete(8), Graph(8), complete_bipartite(4, 4), cycle(8), prism(4)]
+    rng = random.Random(1)
+    keys = []
+    for g in graphs:
+        key = canonical_key(g)
+        for _ in range(5):
+            perm = list(range(8))
+            rng.shuffle(perm)
+            nodes.clear()
+            assert canonical_key(g.relabeled(perm)) == key
+            assert len(nodes) <= 81
+        keys.append(key)
+    assert len(set(keys)) == 5
+    assert canonical_key(prism(4)) == canonical_key(minus_matching)
 
 
 def test_canonical_key_invariant_under_relabeling():

@@ -76,10 +76,50 @@ def test_edge_list_round_trip(g):
 
 
 @settings(max_examples=80, deadline=None)
-@given(small_graphs(min_n=2, max_n=6), st.data())
+@given(small_graphs(min_n=2, max_n=8), st.data())
 def test_canonical_key_is_isomorphism_invariant(g, data):
     perm = data.draw(st.permutations(range(g.n)))
     assert canonical_key(g.relabeled(list(perm))) == canonical_key(g)
+
+
+def double_edge_swaps(edges: set) -> list:
+    """Every (ab, cd, {ad, cb}) that trades two edges for two non-edges on
+    the same four vertices, keeping each vertex's degree."""
+    out = []
+    for (a, b), (c, d) in combinations(sorted(edges), 2):
+        if len({a, b, c, d}) < 4:
+            continue
+        for x, y in ((c, d), (d, c)):
+            swapped = {tuple(sorted((a, y))), tuple(sorted((x, b)))}
+            if not swapped & edges:
+                out.append(((a, b), (c, d), swapped))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(5, 8), st.data())
+def test_canonical_key_agrees_with_networkx_on_degree_mates(n, data):
+    # h is a relabelled g after one to four double-edge swaps, so the two
+    # share a degree sequence and may or may not be isomorphic; networkx
+    # decides which, independently of canon.  Edges are drawn one by one,
+    # as a drawn mask favours near-empty graphs that admit no swap.
+    nx = pytest.importorskip("networkx")
+    pairs = list(combinations(range(n), 2))
+    g = Graph(n, [p for p in pairs if data.draw(st.booleans())])
+    perm = data.draw(st.permutations(range(n)))
+    h_edges = {tuple(sorted((perm[u], perm[v]))) for u, v in g.edges()}
+    for _ in range(data.draw(st.integers(1, 4))):
+        swaps = double_edge_swaps(h_edges)
+        if not swaps:
+            break
+        e, f, swapped = data.draw(st.sampled_from(swaps))
+        h_edges = (h_edges - {e, f}) | swapped
+    h = Graph(n, sorted(h_edges))
+    assert sorted(map(popcount, g.adj)) == sorted(map(popcount, h.adj))
+    gx, hx = nx.empty_graph(n), nx.empty_graph(n)
+    gx.add_edges_from(g.edges())
+    hx.add_edges_from(h.edges())
+    assert (canonical_key(g) == canonical_key(h)) == nx.is_isomorphic(gx, hx)
 
 
 @settings(max_examples=60, deadline=None)

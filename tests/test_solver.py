@@ -194,6 +194,27 @@ def test_budget_fixes_its_deadline_when_made():
     assert (rep.status, rep.nodes_explored) == ("inconclusive", 256)
 
 
+@pytest.mark.parametrize(
+    "caps",
+    [
+        {"seconds": float("nan")},
+        {"seconds": float("inf")},
+        {"seconds": float("-inf")},
+        {"seconds": 0.0},
+        {"seconds": -1.0},
+        {"nodes": 0},
+        {"nodes": -5},
+    ],
+    ids=["nan", "inf", "-inf", "zero-seconds", "negative-seconds", "zero-nodes", "negative-nodes"],
+)
+def test_budget_rejects_invalid_caps(caps):
+    # a NaN or infinite deadline never passes, so the solve would run to
+    # "exact" with the cap silently ignored; a cap of no nodes stops every
+    # search at its first node
+    with pytest.raises(ValueError, match=next(iter(caps))):
+        Budget(**caps)
+
+
 def test_at_least_decision():
     cert = c_l_at_least(cycle(6), 5).certificate
     assert cert is not None and cert.verify(cycle(6))

@@ -1,21 +1,22 @@
 """Canonical forms for isomorphism-free enumeration of small graphs.
 
-The generic key refines an ordered vertex partition to an equitable one
-and individualizes each vertex of its first non-singleton cell in turn,
-after McKay and Piperno, "Practical graph isomorphism II" (J. Symb.
-Comput. 2014).  Each discrete leaf of that search orders the vertices; the
-key is the least upper-triangle adjacency bitstring over the leaves, read
-column by column (the bit order graph6 uses).  Trees get a separate rooted
-encoding that scales past the generic desk-scale cap.
+One key serves every graph the package canonicalizes, trees included.  It
+refines an ordered vertex partition to an equitable one and individualizes
+each vertex of its first non-singleton cell in turn, after McKay and
+Piperno, "Practical graph isomorphism II" (J. Symb. Comput. 2014).  Each
+discrete leaf of that search orders the vertices; the key is the least
+upper-triangle adjacency bitstring over the leaves, read column by column
+(the bit order graph6 uses).  The order cap is the tree census cap, the
+largest order any census keys.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from .graph import Graph, bits_of
+from .graph import Graph, bits_of, is_connected
 
-MAX_CANON_ORDER = 8
+MAX_CANON_ORDER = 10
 _MEMBERS = [list(bits_of(m)) for m in range(1 << MAX_CANON_ORDER)]
 
 
@@ -114,41 +115,8 @@ def are_isomorphic(a: Graph, b: Graph) -> bool:
     return canonical_key(a) == canonical_key(b)
 
 
-# -- trees ---------------------------------------------------------------
-
-
-def _tree_centers(g: Graph) -> list[int]:
-    n = g.n
-    if n == 1:
-        return [0]
-    deg = [g.degree(v) for v in range(n)]
-    alive = [True] * n
-    remaining = n
-    layer = [v for v in range(n) if deg[v] <= 1]
-    while remaining > 2:
-        nxt = []
-        for v in layer:
-            alive[v] = False
-            remaining -= 1
-            for u in bits_of(g.adj[v]):
-                if alive[u]:
-                    deg[u] -= 1
-                    if deg[u] == 1:
-                        nxt.append(u)
-        layer = nxt
-    return [v for v in range(n) if alive[v]]
-
-
-def tree_canonical_key(g: Graph) -> tuple[int, str]:
-    """Canonical key for trees of any desk order, via the rooted encoding
-    '(' sorted child encodings ')' taken at the tree's center(s)."""
-    n = g.n
-    if g.edge_count() != n - 1:
-        raise ValueError("tree encoding requires a tree")
-
-    def enc(v: int, parent: int) -> str:
-        subs = sorted(enc(u, v) for u in bits_of(g.adj[v]) if u != parent)
-        return "(" + "".join(subs) + ")"
-
-    best = min(enc(c, -1) for c in _tree_centers(g))
-    return (n, best)
+def tree_canonical_key(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """canonical_key of g, refusing any graph that is not a tree."""
+    if g.edge_count() != g.n - 1 or not is_connected(g):
+        raise ValueError("tree key requires a tree")
+    return canonical_key(g)

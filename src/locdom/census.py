@@ -1,20 +1,21 @@
 """Isomorphism-free enumeration of small graphs and trees.
 
-Graphs are grown one vertex at a time: every (connected) graph of order
-m+1 arises from a (connected) graph of order m by adding vertex m with
-some (non-empty) neighborhood, so augmenting every class representative
-and deduplicating by canonical key yields exactly one representative per
-class.  Trees grow by attaching a leaf.  A Prüfer-sequence generator for
-labeled trees doubles as an independent cross-check at small orders.
+Every graph, connected graph and tree of order m+1 arises from one of
+order m by adding vertex m with some neighbourhood: any, any non-empty
+one, or a single vertex.  So one loop serves all three censuses: it
+augments every class representative of order m with each allowed
+neighbourhood and keeps the first graph of each canonical key, which
+yields exactly one representative per class.  A Prüfer-sequence generator
+for labeled trees doubles as an independent cross-check at small orders.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import product
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
-from .canon import canonical_key, tree_canonical_key
+from .canon import canonical_key
 from .graph import Graph, bits_of
 
 MAX_CENSUS_ORDER = 7
@@ -25,62 +26,53 @@ CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853)
 ALL_GRAPH_COUNTS = (1, 2, 4, 11, 34, 156, 1044)
 TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106)
 
-_graph_cache: dict = {}
-_tree_cache: dict = {}
+_cache: dict = {}
+
+
+def _grow(
+    n: int, kind: str, parents: Callable[[], list[Graph]], nbhds: Iterable[int]
+) -> list[Graph]:
+    """The census of order n named kind: vertex n - 1 joins every
+    representative of order n - 1 (from parents) with every neighbourhood
+    mask in nbhds, keeping the first graph of each canonical key."""
+    if n < 1:
+        raise ValueError("order must be positive")
+    if (n, kind) not in _cache:
+        if n == 1:
+            reps = [Graph(1, [])]
+        else:
+            first: dict = {}
+            for parent in parents():
+                base = parent.edges()
+                for nbhd in nbhds:
+                    g = Graph(n, base + [(v, n - 1) for v in bits_of(nbhd)])
+                    first.setdefault(canonical_key(g), g)
+            reps = list(first.values())
+        _cache[n, kind] = reps
+    return list(_cache[n, kind])
 
 
 def enumerate_graphs(n: int, connected_only: bool = True) -> list[Graph]:
     """One representative per isomorphism class of order n."""
-    if n < 1:
-        raise ValueError("order must be positive")
     if n > MAX_CENSUS_ORDER:
         raise ValueError(
             f"desk scale caps graph enumeration at order {MAX_CENSUS_ORDER}"
         )
-    key = (n, connected_only)
-    if key not in _graph_cache:
-        if n == 1:
-            reps = [Graph(1, [])]
-        else:
-            reps = []
-            seen = set()
-            low = 1 if connected_only else 0
-            for parent in enumerate_graphs(n - 1, connected_only):
-                base = parent.edges()
-                for nbhd in range(low, 1 << (n - 1)):
-                    g = Graph(
-                        n, base + [(v, n - 1) for v in bits_of(nbhd)]
-                    )
-                    ck = canonical_key(g)
-                    if ck not in seen:
-                        seen.add(ck)
-                        reps.append(g)
-        _graph_cache[key] = reps
-    return list(_graph_cache[key])
+    return _grow(
+        n,
+        "connected" if connected_only else "all",
+        lambda: enumerate_graphs(n - 1, connected_only),
+        range(1 if connected_only else 0, 1 << (n - 1)),
+    )
 
 
 def enumerate_trees(n: int) -> list[Graph]:
     """One representative per isomorphism class of trees of order n."""
-    if n < 1:
-        raise ValueError("order must be positive")
     if n > MAX_TREE_ORDER:
         raise ValueError(f"desk scale caps tree enumeration at order {MAX_TREE_ORDER}")
-    if n not in _tree_cache:
-        if n == 1:
-            reps = [Graph(1, [])]
-        else:
-            reps = []
-            seen = set()
-            for parent in enumerate_trees(n - 1):
-                base = parent.edges()
-                for v in range(n - 1):
-                    t = Graph(n, base + [(v, n - 1)])
-                    ck = tree_canonical_key(t)
-                    if ck not in seen:
-                        seen.add(ck)
-                        reps.append(t)
-        _tree_cache[n] = reps
-    return list(_tree_cache[n])
+    return _grow(
+        n, "trees", lambda: enumerate_trees(n - 1), [1 << v for v in range(n - 1)]
+    )
 
 
 def _edges_from_prufer(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:

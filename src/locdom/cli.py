@@ -245,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="K",
         help="decision mode: certificate for an exactly-K-part LDC-partition, "
-        "or an exhaustive refusal",
+        "or an exhaustive refusal; 'none' does not bound C_L below K, since "
+        "a graph may lack a K-part partition yet have a larger one",
     )
     p.add_argument("--output", help="write the JSON report to a file")
     p.set_defaults(fn=cmd_cl)

@@ -291,28 +291,17 @@ def build_halves_partition(g: Graph) -> LdcCertificate:
 def _split_minimal_ld(g: Graph, m: int) -> tuple[int, int]:
     """Split a minimal LD-set into two non-empty non-LD halves.
 
-    Any 2-split of a minimal LD-set works (each half sits inside a
-    one-element-removal, which is non-LD); first element vs rest is the
-    documented choice, with a defensive full scan behind it.
+    First element versus rest always works: m minus its first element is
+    non-LD by minimality, and the first element lies inside m minus its
+    second, which is non-LD, so it is non-LD too (LD is upward closed).
     """
     vs = list(bits_of(m))
     assert len(vs) >= 2, "minimal LD-sets have size >= 2 for order >= 3"
     first = 1 << vs[0]
     rest = m & ~first
-    if not is_ld_mask(g, first) and not is_ld_mask(g, rest):
-        return first, rest
-    low = 1 << vs[0]
-    sub = m
-    while True:
-        sub = (sub - 1) & m
-        if sub == 0:
-            break
-        if not (sub & low) or sub == m:
-            continue
-        other = m & ~sub
-        if other and not is_ld_mask(g, sub) and not is_ld_mask(g, other):
-            return sub, other
-    raise AssertionError("minimal LD-set admitted no non-LD 2-split")
+    if is_ld_mask(g, first) or is_ld_mask(g, rest):
+        raise AssertionError("minimal LD-set admitted no non-LD 2-split")
+    return first, rest
 
 
 def build_from_domatic(g: Graph) -> LdcCertificate:

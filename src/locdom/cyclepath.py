@@ -281,10 +281,13 @@ def refute_surviving_types(
     budget=None,
 ) -> dict:
     """Exhaustively confirm that no surviving type of the k = 6 table is
-    realizable, so C_L < 6 for this family member.
+    realizable, so this family member has no 6-part LDC-partition.
 
     One c_l_at_least(g, 6) search covers the table: it screens the same
-    types with the same labels and searches exactly the survivors."""
+    types with the same labels and searches exactly the survivors.  That
+    alone does not give C_L < 6, since a larger partition could exist; for
+    these orders C_L < 6 comes from c_l_exact, through the
+    cycles-cl-values and paths-cl-values claims."""
     g = _table_graph(n, family)
     table = type_table(n, family, 6)
     survivors = [tv.sizes for tv in table if not tv.labels]

@@ -435,7 +435,9 @@ def c_l_at_least(
 
     Status "exact" carries c_l = k and a certificate; "none" is exhaustive:
     no LDC-partition of size exactly k exists; "inconclusive" means the
-    budget ran out first.
+    budget ran out first.  Despite the name, this does not decide
+    C_L >= k, since having a k-part partition is not monotone in k: P_3
+    and C_5 have none with 2 parts, yet C_L(P_3) = 3 and C_L(C_5) = 5.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("C_L search requires a connected graph")
@@ -552,10 +554,7 @@ def plain_coalition_number(
     if g.n == 1:
         return 1  # the single vertex dominates and stands alone
     gamma = _domination_number(g)
-    if g.max_degree() == g.n - 1:
-        kmax = g.n
-    else:
-        kmax = min(g.n, g.n - gamma + 2)
+    kmax = min(g.n, g.n - gamma + 2)
     search = _Search(g, is_dominating, dominating_completers, gamma, budget)
     status, caps, masks = search.run(range(kmax, 0, -1), g.max_degree() + 1)
     if status == "budget":

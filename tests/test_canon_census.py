@@ -1,6 +1,8 @@
 import random
 from itertools import permutations
 
+import pytest
+
 from locdom import canon
 from locdom.canon import (
     are_isomorphic,
@@ -112,3 +114,11 @@ def test_tree_key_separates_small_trees():
     keys = {tree_canonical_key(t) for t in enumerate_trees(8)}
     assert len(keys) == TREE_COUNTS[7]
     assert tree_canonical_key(path(5)) != tree_canonical_key(star(5))
+
+
+def test_tree_key_refuses_disconnected_graphs_with_n_minus_1_edges():
+    # A triangle plus an isolated vertex, and a triangle plus a disjoint
+    # edge: each has n - 1 edges but is not a tree.
+    for g in (Graph(4, [(0, 1), (1, 2), (0, 2)]), Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])):
+        with pytest.raises(ValueError):
+            tree_canonical_key(g)

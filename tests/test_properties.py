@@ -26,18 +26,12 @@ from locdom.ld import (
 from locdom.solver import _Search, partitions_of_int
 
 
-def graph_from_mask(n, mask):
-    pairs = list(combinations(range(n), 2))
-    edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
-    return Graph(n, edges)
-
-
 @st.composite
 def small_graphs(draw, min_n=3, max_n=7):
+    # One boolean per edge: a drawn edge mask favours small integers, and
+    # so near-empty graphs.
     n = draw(st.integers(min_n, max_n))
-    m = n * (n - 1) // 2
-    mask = draw(st.integers(0, (1 << m) - 1))
-    return graph_from_mask(n, mask)
+    return Graph(n, [p for p in combinations(range(n), 2) if draw(st.booleans())])
 
 
 @settings(max_examples=120, deadline=None)
@@ -97,15 +91,13 @@ def double_edge_swaps(edges: set) -> list:
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(5, 8), st.data())
-def test_canonical_key_agrees_with_networkx_on_degree_mates(n, data):
+@given(small_graphs(min_n=5, max_n=8), st.data())
+def test_canonical_key_agrees_with_networkx_on_degree_mates(g, data):
     # h is a relabelled g after one to four double-edge swaps, so the two
     # share a degree sequence and may or may not be isomorphic; networkx
-    # decides which, independently of canon.  Edges are drawn one by one,
-    # as a drawn mask favours near-empty graphs that admit no swap.
+    # decides which, independently of canon.
     nx = pytest.importorskip("networkx")
-    pairs = list(combinations(range(n), 2))
-    g = Graph(n, [p for p in pairs if data.draw(st.booleans())])
+    n = g.n
     perm = data.draw(st.permutations(range(n)))
     h_edges = {tuple(sorted((perm[u], perm[v]))) for u, v in g.edges()}
     for _ in range(data.draw(st.integers(1, 4))):

@@ -42,7 +42,9 @@ def mobius_ladder(k: int) -> Graph:
 def generalized_petersen(n: int, k: int) -> Graph:
     """Outer n-cycle, spokes, and an inner cycle with step k."""
     if n < 3 or not (1 <= k < n) or 2 * k == n:
-        raise ValueError("generalized Petersen graph needs n >= 3, 1 <= k < n/2 or gcd structure valid")
+        raise ValueError(
+            f"generalized Petersen graph needs n >= 3, 1 <= k <= n - 1 and 2k != n; got n={n}, k={k}"
+        )
     edges = []
     for i in range(n):
         edges.append((i, (i + 1) % n))

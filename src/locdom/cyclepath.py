@@ -10,7 +10,7 @@ from itertools import combinations
 
 from .census import enumerate_graphs, enumerate_trees
 from .families import cycle, path, spider
-from .graph import Graph, VertexSet, bits_of, closed_mask, popcount
+from .graph import Graph, VertexSet, bits_of, closed_mask, popcount, reachable_mask
 from .ld import gamma_l_value, is_ld_mask, singleton_completers
 from .solver import (
     BudgetExceeded,
@@ -126,22 +126,6 @@ def c_l_path_formula(n: int) -> int:
 # -- the C_15 completer lemmas -------------------------------------------
 
 
-def _connected_within(g: Graph, mask: int) -> bool:
-    if mask == 0:
-        return True
-    start = mask & -mask
-    seen = start
-    frontier = start
-    while frontier:
-        nxt = 0
-        for v in bits_of(frontier):
-            nxt |= g.adj[v]
-        nxt &= mask & ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen == mask
-
-
 def verify_lemma_ld5_1() -> dict:
     """Every 5-subset of C_15 has at most one vertex whose addition makes
     an LD-set, and each completed 6-set is a rotation of the unique LD
@@ -211,7 +195,7 @@ def verify_lemma_ld5_2() -> dict:
         histogram[k] = histogram.get(k, 0) + 1
         closed = closed_mask(g, m)
         undominated = popcount(full_mask & ~closed)
-        connected = _connected_within(g, closed)
+        connected = reachable_mask(g, combo[0], closed) == closed
         if k > partner_cap:
             structure_violations.append(("over_partner_cap", combo, cs))
         if k > 0 and not connected:
@@ -259,20 +243,20 @@ def _table_graph(n: int, family: str) -> Graph:
     raise ValueError("family must be 'cycle' or 'path'")
 
 
-def type_table(n: int, family: str, k: int = 6) -> list[TypeVector]:
-    """All k-part size types for the family member of order n, labeled by
-    the two elimination criteria; unlabeled rows survive to search."""
+def type_table(n: int, family: str) -> list[TypeVector]:
+    """All six-part size types for the family member of order n, labeled
+    by the two elimination criteria; unlabeled rows survive to search."""
     g = _table_graph(n, family)
     gamma = gamma_l_value(g)
     cap = 2 * g.max_degree()
     return [
         TypeVector(t, type_labels(t, gamma, cap))
-        for t in partitions_of_int(n, k)
+        for t in partitions_of_int(n, 6)
     ]
 
 
-def surviving_types(n: int, family: str, k: int = 6) -> list[tuple[int, ...]]:
-    return [tv.sizes for tv in type_table(n, family, k) if not tv.labels]
+def surviving_types(n: int, family: str) -> list[tuple[int, ...]]:
+    return [tv.sizes for tv in type_table(n, family) if not tv.labels]
 
 
 def refute_surviving_types(
@@ -289,7 +273,7 @@ def refute_surviving_types(
     these orders C_L < 6 comes from c_l_exact, through the
     cycles-cl-values and paths-cl-values claims."""
     g = _table_graph(n, family)
-    table = type_table(n, family, 6)
+    table = type_table(n, family)
     survivors = [tv.sizes for tv in table if not tv.labels]
     rep = c_l_at_least(g, 6, budget=budget)
     if rep.status == "inconclusive":
@@ -304,16 +288,6 @@ def refute_surviving_types(
         "all_refuted": rep.status == "none",
         "nodes_explored": rep.nodes_explored,
     }
-
-
-def type_table_tsv(n: int, family: str, k: int = 6) -> str:
-    """The labeled table as TSV: sizes column, labels column."""
-    lines = ["type\tlabels"]
-    for tv in type_table(n, family, k):
-        sizes = "(" + ",".join(str(s) for s in tv.sizes) + ")"
-        labels = ",".join(str(x) for x in sorted(tv.labels))
-        lines.append(f"{sizes}\t{labels}")
-    return "\n".join(lines) + "\n"
 
 
 # -- small-graph and tree characterizations ------------------------------

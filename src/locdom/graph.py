@@ -91,16 +91,9 @@ class VertexSet:
         self._check_same(other)
         return VertexSet(self.bits | other.bits, self.n)
 
-    def intersection(self, other: "VertexSet") -> "VertexSet":
-        self._check_same(other)
-        return VertexSet(self.bits & other.bits, self.n)
-
     def difference(self, other: "VertexSet") -> "VertexSet":
         self._check_same(other)
         return VertexSet(self.bits & ~other.bits, self.n)
-
-    def complement(self) -> "VertexSet":
-        return VertexSet(~self.bits & ((1 << self.n) - 1), self.n)
 
     def to_sorted_list(self) -> list[int]:
         return list(self)
@@ -208,19 +201,7 @@ class Graph:
         return g
 
 
-# -- neighborhood operations ---------------------------------------------
-
-
-def open_neighborhood(g: Graph, v: int) -> VertexSet:
-    """N(v): the neighbors of v, excluding v itself."""
-    g.check_vertex(v)
-    return VertexSet(g.adj[v], g.n)
-
-
-def closed_neighborhood(g: Graph, v: int) -> VertexSet:
-    """N[v] = N(v) plus v."""
-    g.check_vertex(v)
-    return VertexSet(g.adj[v] | (1 << v), g.n)
+# -- neighborhoods, connectivity and distances ---------------------------
 
 
 def closed_mask(g: Graph, mask: int) -> int:
@@ -232,26 +213,16 @@ def closed_mask(g: Graph, mask: int) -> int:
     return out
 
 
-def are_twins(g: Graph, u: int, v: int) -> bool:
-    """True iff u and v have identical open neighborhoods."""
-    g.check_vertex(u)
-    g.check_vertex(v)
-    if u == v:
-        raise ValueError("twin test requires two distinct vertices")
-    return g.adj[u] == g.adj[v]
-
-
-# -- connectivity and distances ------------------------------------------
-
-
-def reachable_mask(g: Graph, start: int) -> int:
+def reachable_mask(g: Graph, start: int, within: int) -> int:
+    """The vertices of the mask ``within`` that start reaches by paths
+    inside it; start must be a member."""
     seen = 1 << start
     frontier = seen
     while frontier:
         nxt = 0
         for v in bits_of(frontier):
             nxt |= g.adj[v]
-        frontier = nxt & ~seen
+        frontier = nxt & within & ~seen
         seen |= frontier
     return seen
 
@@ -259,7 +230,7 @@ def reachable_mask(g: Graph, start: int) -> int:
 def is_connected(g: Graph) -> bool:
     if g.n <= 1:
         return True
-    return reachable_mask(g, 0) == g.full_mask()
+    return reachable_mask(g, 0, g.full_mask()) == g.full_mask()
 
 
 def bfs_distances(g: Graph, start: int) -> list[int]:
@@ -281,12 +252,6 @@ def bfs_distances(g: Graph, start: int) -> list[int]:
     return dist
 
 
-def distance(g: Graph, u: int, v: int) -> int:
-    g.check_vertex(u)
-    g.check_vertex(v)
-    return bfs_distances(g, u)[v]
-
-
 def diameter_and_diametral_pair(g: Graph) -> tuple[int, int, int]:
     """Diameter plus the lexicographically least pair realizing it.
 
@@ -305,7 +270,3 @@ def diameter_and_diametral_pair(g: Graph) -> tuple[int, int, int]:
                 best = (dist[v], u, v)
     assert best is not None
     return best
-
-
-def diameter(g: Graph) -> int:
-    return diameter_and_diametral_pair(g)[0]

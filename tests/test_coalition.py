@@ -18,6 +18,7 @@ from locdom.coalition import (
 )
 from locdom.families import (
     complete,
+    complete_bipartite,
     cycle,
     path,
     star,
@@ -142,6 +143,9 @@ def test_build_twin():
     parts = [q.to_sorted_list() for q in cert.partition]
     assert [0, 2] in parts
     assert find_twins(path(5)) is None
+    assert find_twins(star(5)) == (1, 2)
+    assert find_twins(complete(4)) is None
+    assert find_twins(complete_bipartite(2, 3)) == (0, 1)
     with pytest.raises(ValueError):
         build_twin_partition(path(5))
 

@@ -86,5 +86,6 @@ def test_constructors():
         prism(2)
     with pytest.raises(ValueError):
         mobius_ladder(1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"1 <= k <= n - 1 and 2k != n; got n=4, k=2"):
         generalized_petersen(4, 2)
+    assert generalized_petersen(5, 3).n == 10

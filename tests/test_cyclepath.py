@@ -14,7 +14,6 @@ from locdom.cyclepath import (
     refute_surviving_types,
     surviving_types,
     type_table,
-    type_table_tsv,
     verify_lemma_ld5_1,
     verify_lemma_ld5_2,
 )
@@ -165,13 +164,6 @@ def test_refute_small_tables():
     assert len(rp["survivors"]) == 2
     assert rp["nodes_explored"] == 690
     assert refute_surviving_types(14, "path")["nodes_explored"] == 3_396
-
-
-def test_type_table_tsv():
-    tsv = type_table_tsv(10, "cycle")
-    lines = tsv.splitlines()
-    assert lines[0] == "type\tlabels"
-    assert "(3,3,1,1,1,1)\t" in tsv
 
 
 def test_census_extremal_graphs():

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from locdom.canon import canonical_key, tree_canonical_key
 from locdom.cyclepath import gap_configuration, reconstruct_from_gaps
 from locdom.families import cycle, path, spider
-from locdom.graph import Graph, VertexSet, bits_of, is_connected, popcount
+from locdom.graph import Graph, VertexSet, bits_of, is_connected, popcount, reachable_mask
 from locdom.graphio import parse_edge_list, parse_graph6, to_edge_list, to_graph6
 from locdom.ld import (
     colex_subsets,
@@ -43,6 +43,18 @@ def test_ld_sets_are_upward_closed(g, data):
     extra = data.draw(st.integers(0, g.n - 1))
     t = s.union(VertexSet(1 << extra, g.n))
     assert is_ld_set(g, t).ok
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(min_n=1, max_n=8), st.data())
+def test_reachable_mask_is_the_component_inside_the_mask(g, data):
+    nx = pytest.importorskip("networkx")
+    within = data.draw(st.integers(1, (1 << g.n) - 1))
+    v = data.draw(st.sampled_from(list(bits_of(within))))
+    gx = nx.empty_graph(g.n)
+    gx.add_edges_from(g.edges())
+    component = nx.node_connected_component(gx.subgraph(bits_of(within)), v)
+    assert set(bits_of(reachable_mask(g, v, within))) == component
 
 
 @settings(max_examples=100, deadline=None)

@@ -244,9 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
-        help="decision mode: certificate for an exactly-K-part LDC-partition, "
-        "or an exhaustive refusal; 'none' does not bound C_L below K, since "
-        "a graph may lack a K-part partition yet have a larger one",
+        help="decision mode: decide C_L >= K, with a certificate of at least "
+        "K parts, or 'none', an exhaustive proof that C_L < K",
     )
     p.add_argument("--output", help="write the JSON report to a file")
     p.set_defaults(fn=cmd_cl)

@@ -9,7 +9,7 @@ from typing import Optional
 
 from .coalition import LdcCertificate, Partition, partner_count, verify_ldc_partition
 from .families import complete, complete_bipartite
-from .graph import Graph, VertexSet, bits_of, is_connected
+from .graph import Graph, VertexSet, bits_of, is_connected, mask_of
 from .ld import is_dominating, is_ld_mask, singleton_completers
 
 
@@ -85,9 +85,7 @@ def six_completer_witnesses(g: Graph) -> list[tuple[VertexSet, list[int]]]:
     out = []
     for size in range(1, g.n - 6 + 1):
         for combo in combinations(range(g.n), size):
-            m = 0
-            for v in combo:
-                m |= 1 << v
+            m = mask_of(combo)
             if not is_dominating(g, m) or is_ld_mask(g, m):
                 continue
             cs = list(bits_of(singleton_completers(g, m)))

@@ -1,7 +1,7 @@
-"""Cycles and paths: gap configurations, closed-form C_L values, the
-six-part type tables with their elimination labels, exhaustive
-verification of the two C_15 completer lemmas, and the small-graph and
-tree characterizations."""
+"""Cycles and paths: closed-form C_L values, the six-part type tables
+with their elimination labels, exhaustive verification of the two C_15
+completer lemmas against the five LD 6-sets of C_15, and the small-graph
+and tree characterizations."""
 
 from __future__ import annotations
 
@@ -10,90 +10,25 @@ from itertools import combinations
 
 from .census import enumerate_graphs, enumerate_trees
 from .families import cycle, path, spider
-from .graph import Graph, VertexSet, bits_of, closed_mask, popcount, reachable_mask
+from .graph import Graph, bits_of, closed_mask, mask_of, popcount, reachable_mask
 from .ld import gamma_l_value, is_ld_mask, singleton_completers
 from .solver import (
     BudgetExceeded,
     c_l_at_least,
-    c_l_exact,
     c_l_numeric,
+    c_l_value,
     partitions_of_int,
     type_labels,
 )
 
-# the only LD 6-set shape on C_15, up to rotation
-UNIQUE_C15_GAPS = (2, 1, 2, 1, 2, 1)
-
 CYCLE_TABLE_ORDERS = (7, 8, 9, 10, 11, 13, 15)
 PATH_TABLE_ORDERS = (12, 14)
 
-
-# -- gap configurations --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GapConfiguration:
-    """Inter-member gaps of a subset of C_n, counterclockwise from the
-    least member; gap j counts the vertices strictly between consecutive
-    members, so the gaps plus the members account for all n vertices."""
-
-    n: int
-    gaps: tuple[int, ...]
-
-    def rotations(self) -> list[tuple[int, ...]]:
-        m = len(self.gaps)
-        return [self.gaps[i:] + self.gaps[:i] for i in range(m)]
-
-    def rotates_to(self, other) -> bool:
-        other = tuple(other)
-        return any(r == other for r in self.rotations())
-
-
-def gap_configuration(n: int, a) -> GapConfiguration:
-    """Gap configuration of a non-empty subset of the cycle C_n."""
-    if n < 3:
-        raise ValueError("cycle order must be at least 3")
-    members = sorted(set(as_vertices(a, n)))
-    if not members:
-        raise ValueError("gap configuration needs a non-empty subset")
-    gaps = []
-    for j in range(len(members) - 1):
-        gaps.append(members[j + 1] - members[j] - 1)
-    gaps.append(n - members[-1] + members[0] - 1)
-    cfg = GapConfiguration(n, tuple(gaps))
-    assert sum(g + 1 for g in cfg.gaps) == n
-    return cfg
-
-
-def as_vertices(a, n: int) -> list[int]:
-    if isinstance(a, (int, VertexSet)):
-        # rejects negative masks and bits beyond n
-        return VertexSet(int(a), n).to_sorted_list()
-    out = []
-    for v in a:
-        v = int(v)
-        if not (0 <= v < n):
-            raise ValueError(f"vertex {v} out of range for order {n}")
-        out.append(v)
-    return out
-
-
-def reconstruct_from_gaps(n: int, gaps, anchor: int = 0) -> VertexSet:
-    """The subset of C_n with the given gaps, least-to-largest from
-    anchor; inverse of gap_configuration when anchored at the least
-    member."""
-    gaps = tuple(int(g) for g in gaps)
-    if any(g < 0 for g in gaps):
-        raise ValueError("gaps must be non-negative")
-    if sum(g + 1 for g in gaps) != n:
-        raise ValueError("gaps plus members must account for all n vertices")
-    members = []
-    at = anchor % n
-    for g in gaps:
-        members.append(at)
-        at = (at + g + 1) % n
-    assert len(set(members)) == len(members)
-    return VertexSet.of(members, n)
+# the LD 6-sets of C_15: the rotations of one shape, five masks since the
+# shape has period 5
+C15_LD_SIXES = frozenset(
+    mask_of((v + r) % 15 for v in (0, 3, 5, 8, 10, 13)) for r in range(15)
+)
 
 
 # -- closed forms --------------------------------------------------------
@@ -136,9 +71,7 @@ def verify_lemma_ld5_1() -> dict:
     violations = []
     for combo in combinations(range(15), 5):
         scanned += 1
-        m = 0
-        for v in combo:
-            m |= 1 << v
+        m = mask_of(combo)
         if is_ld_mask(g, m):
             violations.append(("five_set_already_ld", combo))
             continue
@@ -148,7 +81,7 @@ def verify_lemma_ld5_1() -> dict:
         elif len(cs) == 1:
             with_completer += 1
             full = m | (1 << cs[0])
-            if not gap_configuration(15, full).rotates_to(UNIQUE_C15_GAPS):
+            if full not in C15_LD_SIXES:
                 violations.append(("completion_not_unique_shape", combo, cs))
     return {
         "subsets_scanned": scanned,
@@ -180,12 +113,9 @@ def verify_lemma_ld5_2() -> dict:
     structure_violations = []
     for combo in combinations(range(15), 6):
         scanned += 1
-        m = 0
-        for v in combo:
-            m |= 1 << v
+        m = mask_of(combo)
         ld = is_ld_mask(g, m)
-        unique_shape = gap_configuration(15, m).rotates_to(UNIQUE_C15_GAPS)
-        if ld != unique_shape:
+        if ld != (m in C15_LD_SIXES):
             structure_violations.append(("ld_iff_unique_shape", combo, ld))
         if ld:
             ld_sets += 1
@@ -265,13 +195,13 @@ def refute_surviving_types(
     budget=None,
 ) -> dict:
     """Exhaustively confirm that no surviving type of the k = 6 table is
-    realizable, so this family member has no 6-part LDC-partition.
+    realizable, so this family member has C_L < 6.
 
-    One c_l_at_least(g, 6) search covers the table: it screens the same
-    types with the same labels and searches exactly the survivors.  That
-    alone does not give C_L < 6, since a larger partition could exist; for
-    these orders C_L < 6 comes from c_l_exact, through the
-    cycles-cl-values and paths-cl-values claims."""
+    One c_l_at_least(g, 6) search covers the table: on paths and cycles
+    gamma_l = ceil(2n/5), so 2n/gamma_l <= 5 and, by the merge lemma in
+    c_l_at_least, that decision searches the level k = 6 alone.  It
+    screens the same types with the same labels and searches exactly the
+    survivors, and its "none" proves C_L < 6."""
     g = _table_graph(n, family)
     table = type_table(n, family)
     survivors = [tv.sizes for tv in table if not tv.labels]
@@ -293,23 +223,25 @@ def refute_surviving_types(
 # -- small-graph and tree characterizations ------------------------------
 
 
-def census_c_l_equals_n() -> list[Graph]:
-    """Connected graphs of order 3..5 with C_L = n."""
+def census_c_l_equals_n(budget=None) -> list[Graph]:
+    """Connected graphs of order 3..5 with C_L = n; every solve gets the
+    budget, and one that exhausts it raises BudgetExceeded."""
     out = []
     for n in (3, 4, 5):
         for g in enumerate_graphs(n, connected_only=True):
-            if c_l_exact(g).c_l == n:
+            if c_l_value(g, budget) == n:
                 out.append(g)
     return out
 
 
-def census_trees_c_l_n_minus_1() -> list[Graph]:
+def census_trees_c_l_n_minus_1(budget=None) -> list[Graph]:
     """Trees of order 3..8 with C_L = n - 1, with the side facts of the
-    order-8 analysis checked along the way."""
+    order-8 analysis checked along the way; the budget applies as in
+    census_c_l_equals_n."""
     out = []
     for n in range(3, 9):
         for t in enumerate_trees(n):
-            if c_l_exact(t).c_l == n - 1:
+            if c_l_value(t, budget) == n - 1:
                 out.append(t)
     if gamma_l_value(path(8)) != 4:
         raise AssertionError("expected gamma_l(P_8) = 4")
@@ -318,6 +250,6 @@ def census_trees_c_l_n_minus_1() -> list[Graph]:
     low = [l for l in legs if gamma_l_value(spider(*l)) == 3]
     if len(high) != 3 or len(low) != 1:
         raise AssertionError("expected three order-8 spiders with gamma_l 4")
-    if c_l_numeric(c_l_exact(spider(*low[0])).c_l) >= 7:
+    if c_l_numeric(c_l_value(spider(*low[0]), budget)) >= 7:
         raise AssertionError("expected the fourth order-8 spider to have C_L < 7")
     return out

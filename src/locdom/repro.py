@@ -43,7 +43,7 @@ from .ld import gamma_l_value, is_complete, is_star, slater_log_lower_bound
 from .solver import (
     Budget,
     BudgetExceeded,
-    c_l_exact,
+    c_l_value,
     plain_coalition_number,
 )
 
@@ -131,13 +131,7 @@ def _gamma_closed_form(fam) -> Callable[[Optional[Budget]], object]:
 
 def _cl_values(fam) -> Callable[[Optional[Budget]], object]:
     def compute(budget: Optional[Budget]):
-        out = {}
-        for n in range(3, 18):
-            rep = c_l_exact(fam(n), budget=budget)
-            if rep.status == "inconclusive":
-                raise BudgetExceeded("exact solve hit the budget", rep.nodes_explored)
-            out[n] = rep.c_l
-        return out
+        return {n: c_l_value(fam(n), budget) for n in range(3, 18)}
 
     return compute
 
@@ -178,7 +172,7 @@ def _six_subset_scan(budget: Optional[Budget]):
 
 
 def _census_extremal(budget: Optional[Budget]):
-    found = census_c_l_equals_n()
+    found = census_c_l_equals_n(budget)
     known = [
         path(3), cycle(3), path(4), cycle(4),
         k4_minus_e(), h_graph(), cycle(5), c5_plus_e(),
@@ -221,7 +215,7 @@ def _census_slater(budget: Optional[Budget]):
 
 
 def _census_trees(budget: Optional[Budget]):
-    found = census_trees_c_l_n_minus_1()
+    found = census_trees_c_l_n_minus_1(budget)
     known = [path(5), star(4)]
     checked = {n: len(enumerate_trees(n)) for n in range(3, 9)}
     matches = sorted(tree_canonical_key(t) for t in found) == sorted(

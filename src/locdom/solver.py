@@ -426,18 +426,36 @@ def c_l_exact(
     )
 
 
+def c_l_value(g: Graph, budget: Optional[Budget] = None) -> Union[int, str]:
+    """c_l_exact(g).c_l, raising BudgetExceeded where the budget runs out."""
+    rep = c_l_exact(g, budget=budget)
+    if rep.status == "inconclusive":
+        raise BudgetExceeded("exact solve hit the budget", rep.nodes_explored)
+    return rep.c_l
+
+
 def c_l_at_least(
     g: Graph,
     k: int,
     budget: Optional[Budget] = None,
 ) -> SolveReport:
-    """Decide whether an LDC-partition with exactly k parts exists.
+    """Decide whether C_L >= k.
 
-    Status "exact" carries c_l = k and a certificate; "none" is exhaustive:
-    no LDC-partition of size exactly k exists; "inconclusive" means the
-    budget ran out first.  Despite the name, this does not decide
-    C_L >= k, since having a k-part partition is not monotone in k: P_3
-    and C_5 have none with 2 parts, yet C_L(P_3) = 3 and C_L(C_5) = 5.
+    Status "exact" carries a certificate and c_l, its part count, which is
+    at least k; "none" is exhaustive: C_L < k; "inconclusive" means the
+    budget ran out first.
+
+    Having a j-part partition is not monotone in j (P_3 and C_5 have none
+    with 2 parts, yet C_L(P_3) = 3 and C_L(C_5) = 5), but it is above
+    2n/gamma_l.  Merge lemma: let an LDC-partition have j > 2n/gamma_l
+    parts, and A, B be its two smallest.  Then |A| + |B| <= 2n/j <
+    gamma_l, so A | B is not an LD-set.  LD-sets are closed upward, so
+    every part that partnered A or B partners A | B, and A's partner is
+    not B; replacing A and B by A | B gives a (j - 1)-part partition.
+    With t = floor(2n/gamma_l) + 1, repeating this takes a partition with
+    j >= t - 1 parts through every count down to t - 1.  So C_L >= k holds
+    exactly when some level from max(k, t - 1) down to k has a partition,
+    and the search tries those levels in that order.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("C_L search requires a connected graph")
@@ -448,13 +466,16 @@ def c_l_at_least(
         return SolveReport(None, None, bounds, status="none")
     start = time.monotonic()
     gamma = gamma_l_value(g)
+    t = 2 * g.n // gamma + 1
     # above n - gamma_l + 2 parts every type has a part with no possible
     # partner, so the screen alone refutes such a k
     search = _Search(g, is_ld_mask, singleton_completers, gamma, budget)
-    status, _, masks = search.run([k], 2 * g.max_degree())
+    status, caps, masks = search.run(
+        range(max(k, t - 1), k - 1, -1), 2 * g.max_degree()
+    )
     cert = certify_masks(g, masks, "the C_L search") if status == "sat" else None
     return SolveReport(
-        c_l=k if cert is not None else None,
+        c_l=len(caps) if cert is not None else None,
         certificate=cert,
         bounds_used=bounds,
         nodes_explored=search.nodes,

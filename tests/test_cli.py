@@ -69,6 +69,14 @@ def test_cl_at_least_decision(capsys):
     assert doc["status"] == "none"
     assert doc["c_l"] is None
 
+    # no 2-part partition exists, yet C_L >= 2: the answer is a larger one
+    for family, c_l in (("path:3", 3), ("cycle:5", 5)):
+        code, out, _ = run(capsys, ["cl", "--family", family, "--at-least", "2"])
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["status"], doc["c_l"]) == ("exact", c_l)
+        assert doc["bounds_used"] == [["at_least", 2]]
+
 
 def test_cl_at_least_reports_its_search(capsys):
     code, out, _ = run(capsys, ["cl", "--family", "path:14", "--at-least", "6"])

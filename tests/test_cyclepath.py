@@ -3,14 +3,11 @@ from itertools import combinations
 import pytest
 
 from locdom.cyclepath import (
-    UNIQUE_C15_GAPS,
-    GapConfiguration,
+    C15_LD_SIXES,
     c_l_cycle_formula,
     c_l_path_formula,
     census_c_l_equals_n,
     census_trees_c_l_n_minus_1,
-    gap_configuration,
-    reconstruct_from_gaps,
     refute_surviving_types,
     surviving_types,
     type_table,
@@ -18,8 +15,7 @@ from locdom.cyclepath import (
     verify_lemma_ld5_2,
 )
 from locdom.families import cycle, path
-from locdom.graph import VertexSet
-from locdom.ld import is_ld_set
+from locdom.ld import colex_subsets, is_ld_mask, is_ld_set
 
 
 def test_cycle_formula():
@@ -38,44 +34,11 @@ def test_path_formula():
         c_l_path_formula(2)
 
 
-def test_gap_configuration_example():
-    cfg = gap_configuration(15, VertexSet.of([0, 3, 6, 7, 9, 10, 12], 15))
-    assert cfg.gaps == (2, 2, 0, 1, 0, 1, 2)
-    back = reconstruct_from_gaps(15, cfg.gaps, anchor=0)
-    assert back.to_sorted_list() == [0, 3, 6, 7, 9, 10, 12]
-
-
-def test_gap_round_trip_everywhere():
-    n = 11
-    for combo in combinations(range(n), 4):
-        cfg = gap_configuration(n, VertexSet.of(combo, n))
-        assert sum(g + 1 for g in cfg.gaps) == n
-        back = reconstruct_from_gaps(n, cfg.gaps, anchor=combo[0])
-        assert back.to_sorted_list() == list(combo)
-
-
-def test_gap_configuration_rejects_bad_masks():
-    # a negative mask has no finite bit list; vertex 10 is not on C_5
-    with pytest.raises(ValueError):
-        gap_configuration(5, -1)
-    with pytest.raises(ValueError):
-        gap_configuration(5, 1 << 10)
-    with pytest.raises(ValueError):
-        gap_configuration(5, VertexSet.of([0, 10], 15))
-
-
-def test_gap_rotations():
-    cfg = GapConfiguration(15, UNIQUE_C15_GAPS)
-    rots = cfg.rotations()
-    assert (1, 2, 1, 2, 1, 2) in rots
-    assert cfg.rotates_to((1, 2, 1, 2, 1, 2))
-    assert not cfg.rotates_to((2, 2, 1, 1, 2, 1))
-
-
-def test_unique_shape_is_ld():
-    s = reconstruct_from_gaps(15, UNIQUE_C15_GAPS, anchor=0)
-    assert s.to_sorted_list() == [0, 3, 5, 8, 10, 13]
-    assert is_ld_set(cycle(15), s).ok
+def test_c15_ld_sixes_are_the_ld_six_sets():
+    g = cycle(15)
+    found = {m for m in colex_subsets(15, 6) if is_ld_mask(g, m)}
+    assert found == C15_LD_SIXES
+    assert len(C15_LD_SIXES) == 5
 
 
 def test_five_subset_scan():

@@ -65,6 +65,10 @@ def test_ld_examples_complete_graph():
     assert not is_ld_set(g, [2, 3]).ok
 
 
+def test_whole_vertex_set_is_ld():
+    assert is_ld_set(cycle(9), VertexSet((1 << 9) - 1, 9)).ok
+
+
 def test_gamma_l_known_values():
     assert gamma_l_value(path(1)) == 1
     assert gamma_l_value(path(2)) == 1

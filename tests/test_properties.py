@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from locdom.canon import canonical_key, tree_canonical_key
-from locdom.cyclepath import gap_configuration, reconstruct_from_gaps
 from locdom.families import cycle, path, spider
 from locdom.graph import Graph, VertexSet, bits_of, is_connected, popcount, reachable_mask
 from locdom.graphio import parse_edge_list, parse_graph6, to_edge_list, to_graph6
@@ -55,17 +54,6 @@ def test_reachable_mask_is_the_component_inside_the_mask(g, data):
     gx.add_edges_from(g.edges())
     component = nx.node_connected_component(gx.subgraph(bits_of(within)), v)
     assert set(bits_of(reachable_mask(g, v, within))) == component
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(5, 20), st.data())
-def test_gap_round_trip(n, data):
-    bits = data.draw(st.integers(1, (1 << n) - 1))
-    s = VertexSet(bits, n)
-    cfg = gap_configuration(n, s)
-    assert sum(gp + 1 for gp in cfg.gaps) == n
-    anchor = s.to_sorted_list()[0]
-    assert reconstruct_from_gaps(n, cfg.gaps, anchor=anchor) == s
 
 
 @settings(max_examples=100, deadline=None)
@@ -274,12 +262,3 @@ def combinations_with_repetition(n, k):
             if rest[0] <= first:
                 out.append((first,) + rest)
     return out
-
-
-def test_cycle_gap_of_full_set():
-    n = 9
-    s = VertexSet((1 << n) - 1, n)
-    cfg = gap_configuration(n, s)
-    assert cfg.gaps == (0,) * n
-    assert reconstruct_from_gaps(n, cfg.gaps, anchor=0) == s
-    assert is_ld_set(cycle(n), s).ok

@@ -80,6 +80,13 @@ def test_plain_projection():
     assert _plain("x") == "x"
 
 
+def test_census_claims_keep_the_node_budget():
+    for only in ("census-smallgraph-extremal", "census-trees-extremal"):
+        rep = run_claims(only=only, budget=Budget(nodes=1))
+        assert [(r.id, r.status) for r in rep.results] == [(only, "inconclusive")]
+        assert rep.budget_hit
+
+
 def test_plain_coalition_claim_keeps_the_node_budget():
     rep = run_claims(only="plain-coalition", budget=Budget(nodes=1))
     assert [(r.id, r.status) for r in rep.results] == [

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from locdom import solver
+from locdom.census import enumerate_graphs
 from locdom.families import complete, cycle, path, spider
 from locdom.ld import is_ld_mask, singleton_completers
 from locdom.solver import (
@@ -219,6 +220,18 @@ def test_at_least_decision():
     cert = c_l_at_least(cycle(6), 5).certificate
     assert cert is not None and cert.verify(cycle(6))
     assert c_l_at_least(cycle(6), 6).status == "none"
+
+
+def test_at_least_decides_c_l_on_the_census():
+    for n in range(3, 7):
+        for g in enumerate_graphs(n, connected_only=True):
+            c_l = c_l_numeric(c_l_exact(g).c_l)
+            for k in range(1, n + 2):
+                rep = c_l_at_least(g, k)
+                assert (rep.status == "exact") == (c_l >= k), (g.edges(), k)
+                if rep.status == "exact":
+                    assert rep.certificate.verify(g)
+                    assert k <= rep.c_l == len(rep.certificate)
 
 
 def test_partitions_of_int():

@@ -252,7 +252,8 @@ def build_diam3_partition(g: Graph) -> LdcCertificate:
 
 
 def find_twins(g: Graph) -> Optional[tuple[int, int]]:
-    """Lexicographically least pair of twins, or None."""
+    """Lexicographically least pair of open twins (N(u) = N(v)), or None;
+    closed twins (N[u] = N[v]) are not found, unlike in graph.lower_twins."""
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if g.adj[u] == g.adj[v]:

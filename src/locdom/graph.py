@@ -213,6 +213,15 @@ def closed_mask(g: Graph, mask: int) -> int:
     return out
 
 
+def lower_twins(g: Graph) -> list[int]:
+    """For each v, the mask of its lower twins: the u < v with
+    N(u) - v = N(v) - u.  Swapping twins is an automorphism."""
+    return [
+        mask_of(u for u in range(v) if g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u))
+        for v in range(g.n)
+    ]
+
+
 def reachable_mask(g: Graph, start: int, within: int) -> int:
     """The vertices of the mask ``within`` that start reaches by paths
     inside it; start must be a member."""

@@ -21,6 +21,7 @@ from .graph import (
     bits_of,
     closed_mask,
     is_connected,
+    lower_twins,
     popcount,
 )
 
@@ -344,17 +345,28 @@ def _domatic_partition(g: Graph, k: int) -> Optional[list[int]]:
     class c is non-empty, which kills the class-relabeling symmetry.  A
     class that is not an LD-set even with every unassigned vertex added can
     never become one (monotonicity), so such branches are cut.
+
+    Twin rule: class(v) >= class(u) for every lower twin u of v (see
+    lower_twins).  Were class(v) < class(u), swapping u and v, an
+    automorphism, would keep the vertices before u in place and put u in
+    class(v), already open there: once the classes are renumbered by
+    first appearance, a lexicographically smaller valid sequence.  The
+    search returns the least one first, so the rule changes no answer.
     """
     n = g.n
     full = g.full_mask()
     classes = [0] * k
+    twins = lower_twins(g)
+    cls = [0] * n  # class of each assigned vertex
 
     def assign(v: int, used: int) -> bool:
         if v == n:
             return all(is_ld_mask(g, c) for c in classes)
         unassigned_after = full & ~((1 << (v + 1)) - 1)
         limit = min(used + 1, k)
-        for ci in range(limit):
+        lo = max(cls[u] for u in bits_of(twins[v])) if twins[v] else 0
+        for ci in range(lo, limit):
+            cls[v] = ci
             classes[ci] |= 1 << v
             if all(
                 is_ld_mask(g, classes[cj] | unassigned_after)

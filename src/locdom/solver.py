@@ -1,21 +1,22 @@
 """Exact C_L solver: type-first search with label pruning.
 
-Candidate sizes k are tried downward from min(n, n - gamma_l + 2); for each
-k the multisets of part sizes (types, largest first) are screened by two
-arguments that need no assignment search at all (a part size with no
-possible partner, a part size forced to carry too many partners), and
-surviving types go to a slot-sequential assignment search with symmetry
-breaking and incremental partner checks.  The search takes the predicate
-parts are judged by with its completer kernel: ld.is_ld_mask and
+Candidate part counts k are tried downward from min(n, n - gamma_l + 2);
+for each k the multisets of part sizes (types, largest first) are
+screened by two arguments that need no assignment search at all (a part
+size with no possible partner, a part size forced to carry too many
+partners), and surviving types go to a slot-sequential assignment search
+with symmetry breaking (equal-size parts in order, twins in order) and
+incremental partner checks.  The search takes the predicate parts are
+judged by with its completer kernel: ld.is_ld_mask and
 ld.singleton_completers for C_L, ld.is_dominating and
 ld.dominating_completers for the plain coalition number, where a
 dominating singleton may also stand alone.  A capacity rule counts
 singleton partners from the first slot on: parts that can partner a
 singleton complete at most C_max(size) of them, which can refute a type
 before it is searched; C_max comes from a walk over the good sets one
-larger.  Each solve builds one _Search,
-which screens the types, searches the survivors and keeps the predicate
-caches and the node count that all of them share.
+larger.  Each solve builds one _Search, which screens the types,
+searches the survivors and keeps the predicate caches and the node count
+that all of them share.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .graph import (
     Graph,
     bits_of,
     is_connected,
+    lower_twins,
     popcount,
 )
 from .ld import (
@@ -184,13 +186,14 @@ class _Search:
     128.  nodes counts search nodes and walk nodes alike, and the budget's
     node cap bounds that one count.
 
-    Slots are filled in capacity-descending order with lexicographic
-    combinations from the remaining pool; equal-capacity slots keep their
-    least elements increasing.  After each placement: the part must not
-    already be good alone, unless it is a singleton and gamma <= 1 (then
-    it stands alone and needs no partner); every placed part must have an
-    exact partner or an optimistic one through the untouched pool; and
-    the capacity rule must hold.
+    Slots are filled in size-descending order with lexicographic
+    combinations from the remaining pool; equal-size slots keep their
+    least elements increasing, so a slot's floor is the least element of
+    the slot before it when that one has the same size.  After each
+    placement: the part must not already be good alone, unless it is a
+    singleton and gamma <= 1 (then it stands alone and needs no partner);
+    every placed part must have an exact partner or an optimistic one
+    through the untouched pool; and the capacity rule must hold.
 
     Capacity rule.  With gamma >= 3, a singleton part {w} needs a partner X
     with |X| >= gamma - 1 and w in completers(X).  A placed X puts w in
@@ -201,6 +204,19 @@ class _Search:
     the slots from j on of size >= gamma - 1; fut[0] < s refutes the type
     before slot 0.  This holds for any predicate.  With gamma <= 2,
     singletons may partner each other or stand alone: fut is infinite.
+
+    Twin rule.  A slot skips, before counting a node, every combination
+    that holds v but not a lower twin u of v (see lower_twins) that the
+    slot could also take: u in the pool and u above the slot's floor.
+    The search returns the lexicographically least valid slot sequence
+    of a type first, and that sequence obeys the rule at every slot.  If
+    slot i broke it, the transposition (u v), an automorphism, would fix
+    slots 0..i-1, since u and v are both still in the pool.  It would
+    keep slot i legal, since u is above the floor, and make it
+    lexicographically smaller.  It only raises later members (u to v),
+    so every later same-size part's least element stays above slot i's,
+    which did not rise.  So answers, certificates and the plain
+    coalition number are unchanged; only the node count falls.
     """
 
     def __init__(
@@ -221,6 +237,8 @@ class _Search:
         self.verdict = functools.cache(lambda m: good(g, m))
         self.completers = functools.cache(lambda p: completers(g, p))
         self.capacities: dict[int, int] = {}
+        twins = lower_twins(g)
+        self.twins = twins if any(twins) else None  # twin-free: no check
 
     def _tick(self):
         self.nodes += 1
@@ -276,22 +294,23 @@ class _Search:
             self.capacities[t] = max(counts.values(), default=0)
         return self.capacities[t]
 
-    def search_type(self, caps: tuple[int, ...]) -> Optional[list[int]]:
+    def search_type(self, sizes: tuple[int, ...]) -> Optional[list[int]]:
         """Masks of a partition realizing the type, or None (exhausted)."""
         gamma = self.gamma
         verdict = self.verdict
         completers = self.completers
-        k = len(caps)
+        twins = self.twins
+        k = len(sizes)
         singles_after = [0] * (k + 1)
         for i in range(k - 1, -1, -1):
-            singles_after[i] = singles_after[i + 1] + (1 if caps[i] == 1 else 0)
+            singles_after[i] = singles_after[i + 1] + (1 if sizes[i] == 1 else 0)
         # fut[i]: the most singletons the slots from i on can partner
         fut = [math.inf] * (k + 1)
         if gamma >= 3 and singles_after[0]:
             fut[k] = 0
             for i in range(k - 1, -1, -1):
-                big = caps[i] + 1 >= gamma
-                fut[i] = fut[i + 1] + (self.capacity(caps[i]) if big else 0)
+                big = sizes[i] + 1 >= gamma
+                fut[i] = fut[i + 1] + (self.capacity(sizes[i]) if big else 0)
             if fut[0] < singles_after[0]:
                 return None
 
@@ -306,18 +325,21 @@ class _Search:
         ) -> Optional[list[int]]:
             if i == k:
                 return parts[:] if all(settled) else None
-            cap = caps[i]
-            floor = mins[-1] if (i > 0 and caps[i - 1] == cap) else -1
-            avail = [v for v in bits_of(pool) if v > floor]
-            for combo in combinations(avail, cap):
-                self._tick()
+            size = sizes[i]
+            floor = mins[-1] if (i > 0 and sizes[i - 1] == size) else -1
+            free = pool >> (floor + 1) << (floor + 1)  # what this slot may take
+            avail = list(bits_of(free))
+            for combo in combinations(avail, size):
                 m = 0
                 for v in combo:
                     m |= 1 << v
+                if twins and any(twins[v] & free & ~m for v in combo):
+                    continue
+                self._tick()
                 # gamma <= 1 only for plain coalitions: every connected graph
                 # of order >= 3 has gamma_l >= 2, and C_L searches only those
-                standalone = cap == 1 and gamma <= 1 and verdict(m)
-                if cap >= gamma and not standalone and verdict(m):
+                standalone = size == 1 and gamma <= 1 and verdict(m)
+                if size >= gamma and not standalone and verdict(m):
                     continue
                 rest = pool & ~m
                 needs_i = not standalone
@@ -361,11 +383,11 @@ class _Search:
         return place(0, self.g.full_mask(), [], None)
 
     def run(
-        self, sizes: Iterable[int], cap: int
+        self, counts: Iterable[int], max_partners: int
     ) -> tuple[str, Optional[tuple[int, ...]], Optional[list[int]]]:
-        """Search, for each part count k in sizes in turn, the k-part types
-        that type_labels (with max_partners cap) does not refute; the first
-        satisfiable type wins.
+        """Search, for each part count k in counts in turn, the k-part
+        types that type_labels (with max_partners) does not refute; the
+        first satisfiable type wins.
 
         Returns (status, deciding type, masks or None).  The deciding type
         is the satisfiable one, or for status "budget" the one that ran out
@@ -373,16 +395,16 @@ class _Search:
         way self.nodes is the count the node cap bounds, so a cap equal to
         a conclusive count settles the same answer.
         """
-        for k in sizes:
-            for caps in partitions_of_int(self.g.n, k):
-                if type_labels(caps, self.gamma, cap):
+        for k in counts:
+            for sizes in partitions_of_int(self.g.n, k):
+                if type_labels(sizes, self.gamma, max_partners):
                     continue
                 try:
-                    masks = self.search_type(caps)
+                    masks = self.search_type(sizes)
                 except BudgetExceeded:
-                    return ("budget", caps, None)
+                    return ("budget", sizes, None)
                 if masks is not None:
-                    return ("sat", caps, masks)
+                    return ("sat", sizes, masks)
         return ("unsat", None, None)
 
 
@@ -408,14 +430,14 @@ def c_l_exact(
     kmax = min(g.n, g.n - gamma + 2)
     bounds = [("gamma_l", gamma), ("upper_start", kmax)]
     search = _Search(g, is_ld_mask, singleton_completers, gamma, budget)
-    status, caps, masks = search.run(range(kmax, 1, -1), 2 * g.max_degree())
+    status, sizes, masks = search.run(range(kmax, 1, -1), 2 * g.max_degree())
     c_l, cert = ("none" if status == "unsat" else None), None
     if status == "sat":
-        c_l = len(caps)
+        c_l = len(sizes)
         cert = certify_masks(g, masks, "the C_L search")
         bounds.append(("settled_at", c_l))
     elif status == "budget":
-        bounds.append(("refuted_down_to", len(caps) + 1))
+        bounds.append(("refuted_down_to", len(sizes) + 1))
     return SolveReport(
         c_l=c_l,
         certificate=cert,
@@ -470,12 +492,12 @@ def c_l_at_least(
     # above n - gamma_l + 2 parts every type has a part with no possible
     # partner, so the screen alone refutes such a k
     search = _Search(g, is_ld_mask, singleton_completers, gamma, budget)
-    status, caps, masks = search.run(
+    status, sizes, masks = search.run(
         range(max(k, t - 1), k - 1, -1), 2 * g.max_degree()
     )
     cert = certify_masks(g, masks, "the C_L search") if status == "sat" else None
     return SolveReport(
-        c_l=len(caps) if cert is not None else None,
+        c_l=len(sizes) if cert is not None else None,
         certificate=cert,
         bounds_used=bounds,
         nodes_explored=search.nodes,
@@ -577,13 +599,13 @@ def plain_coalition_number(
     gamma = _domination_number(g)
     kmax = min(g.n, g.n - gamma + 2)
     search = _Search(g, is_dominating, dominating_completers, gamma, budget)
-    status, caps, masks = search.run(range(kmax, 0, -1), g.max_degree() + 1)
+    status, sizes, masks = search.run(range(kmax, 0, -1), g.max_degree() + 1)
     if status == "budget":
         raise BudgetExceeded(
-            f"search at size {len(caps)} ran out of budget", search.nodes
+            f"search at size {len(sizes)} ran out of budget", search.nodes
         )
     if status == "unsat":
         return "none"
     if not _valid_coalition_partition(g, masks, is_dominating, True):
         raise AssertionError("search returned an invalid coalition partition")
-    return len(caps)
+    return len(sizes)

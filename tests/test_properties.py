@@ -6,11 +6,20 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from locdom.canon import canonical_key, tree_canonical_key
 from locdom.families import cycle, path, spider
-from locdom.graph import Graph, VertexSet, bits_of, is_connected, popcount, reachable_mask
+from locdom.graph import (
+    Graph,
+    VertexSet,
+    bits_of,
+    is_connected,
+    lower_twins,
+    popcount,
+    reachable_mask,
+)
 from locdom.graphio import parse_edge_list, parse_graph6, to_edge_list, to_graph6
 from locdom.ld import (
     colex_subsets,
     colex_walk,
+    d_loc,
     dominating_completers,
     gamma_l,
     gamma_l_lower_bound,
@@ -22,7 +31,16 @@ from locdom.ld import (
     minimalize_ld_set,
     singleton_completers,
 )
-from locdom.solver import _Search, partitions_of_int
+from locdom.solver import (
+    _rgs_masks,
+    _Search,
+    _set_partitions,
+    c_l_exact,
+    c_l_numeric,
+    c_l_oracle,
+    partitions_of_int,
+    plain_coalition_number,
+)
 
 
 @st.composite
@@ -233,6 +251,31 @@ def test_capacity_bounds_every_rejected_set(g, pair):
             if not good(g, m)
         ]
         assert search.capacity(t) == max(counts, default=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(max_n=6), st.booleans(), st.data())
+def test_twin_rule_keeps_every_answer(g, adjacent, data):
+    # plant a false or true twin y of a drawn vertex x, relabel, and check
+    # the twin-pruned searches against unpruned brute force
+    x = data.draw(st.integers(0, g.n - 1))
+    y = g.n
+    edges = g.edges() + [(v, y) for v in bits_of(g.adj[x])]
+    if adjacent:
+        edges.append((x, y))
+    perm = data.draw(st.permutations(range(g.n + 1)))
+    h = Graph(g.n + 1, edges).relabeled(perm)
+    assume(is_connected(h))
+    low, high = sorted((perm[x], perm[y]))
+    assert lower_twins(h)[high] >> low & 1
+    assert c_l_numeric(c_l_exact(h).c_l) == c_l_numeric(c_l_oracle(h))
+    assert plain_coalition_number(h) == c_l_oracle(h, is_dominating)
+    domatic = max(
+        len(masks)
+        for masks in map(_rgs_masks, _set_partitions(h.n))
+        if all(is_ld_mask(h, m) for m in masks)
+    )
+    assert d_loc(h).k == domatic
 
 
 @settings(max_examples=80, deadline=None)

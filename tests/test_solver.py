@@ -1,11 +1,13 @@
+import hashlib
 import os
 import time
 
 import pytest
 
 from locdom import solver
-from locdom.census import enumerate_graphs
+from locdom.census import enumerate_graphs, enumerate_trees
 from locdom.families import complete, cycle, path, spider
+from locdom.graph import Graph
 from locdom.ld import is_ld_mask, singleton_completers
 from locdom.solver import (
     Budget,
@@ -111,6 +113,29 @@ def test_search_judges_each_mask_once(monkeypatch):
     assert c_l_exact(cycle(12)).nodes_explored == 285
     rep = c_l_exact(cycle(15))
     assert (rep.c_l, rep.nodes_explored) == (5, 119_385)
+
+
+def test_certificates_are_frozen_on_the_census():
+    # sha256 of every (c_l, parts, partners) on the connected graphs of
+    # order 6 and the trees of order 10, as the search without the twin
+    # rule found them: the rule prunes nodes, never a certificate
+    digest = hashlib.sha256()
+    for g in enumerate_graphs(6) + enumerate_trees(10):
+        doc = c_l_exact(g).to_json_dict()
+        digest.update(repr((doc["c_l"], doc["parts"], doc["partners"])).encode())
+    assert digest.hexdigest() == (
+        "740f9c054a0aa3ffc1279ab54ddb0c8a43b5edfe31f2981ed1d4452799d2a56b"
+    )
+
+
+def test_twin_rule_prunes_leaves_on_one_support_vertex():
+    # 2, 3 and 4 are leaves on vertex 0, so twins; the twin rule cuts the
+    # search from 11,172 nodes to 4,332 and leaves the certificate alone
+    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (5, 7), (5, 8), (7, 9)]
+    doc = c_l_exact(Graph(10, edges)).to_json_dict()
+    assert doc["c_l"] == 3
+    assert doc["parts"] == [[0, 1, 2, 3, 4, 5, 6, 8], [7], [9]]
+    assert doc["nodes_explored"] == 4_332
 
 
 def test_budget_exhaustion():

@@ -120,9 +120,10 @@ class Graph:
 
     Construction is idempotent on duplicate edges and rejects loops; the
     instance is immutable afterwards (adjacency stored as a tuple).
+    _gamma_l holds (gamma_l, witness mask) once ld.gamma_l has found them.
     """
 
-    __slots__ = ("n", "adj", "name", "_hash")
+    __slots__ = ("n", "adj", "name", "_hash", "_gamma_l")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), name: str = ""):
         if n < 0:
@@ -141,6 +142,7 @@ class Graph:
         self.adj = tuple(adj)
         self.name = name
         self._hash = hash((n, self.adj))
+        self._gamma_l = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -198,6 +200,7 @@ class Graph:
         g.adj = self.adj
         g.name = name
         g._hash = self._hash
+        g._gamma_l = self._gamma_l
         return g
 
 
@@ -207,9 +210,12 @@ class Graph:
 def closed_mask(g: Graph, mask: int) -> int:
     """N[A] of a raw mask A: the union of the closed neighborhoods of its
     members, for search inner loops."""
-    out = mask
-    for v in bits_of(mask):
-        out |= g.adj[v]
+    adj = g.adj
+    out = rest = mask
+    while rest:
+        low = rest & -rest
+        out |= adj[low.bit_length() - 1]
+        rest ^= low
     return out
 
 

@@ -53,12 +53,16 @@ def is_locating(g: Graph, s) -> bool:
 
 def is_ld_mask(g: Graph, m: int) -> bool:
     """Fast combined check on a raw bitmask (hot path for the solvers)."""
+    adj = g.adj
     seen = set()
-    for v in bits_of(g.full_mask() & ~m):
-        t = g.adj[v] & m
+    out = g.full_mask() & ~m
+    while out:
+        low = out & -out
+        t = adj[low.bit_length() - 1] & m
         if t == 0 or t in seen:  # empty trace = undominated, or a duplicate
             return False
         seen.add(t)
+        out ^= low
     return True
 
 
@@ -82,28 +86,39 @@ def singleton_completers(g: Graph, m: int) -> int:
     if popcount(undominated) > 2:
         return 0
     cand = out
-    for u in bits_of(undominated):
-        cand &= adj[u] | 1 << u
+    rest = undominated
+    while rest:
+        low = rest & -rest
+        cand &= adj[low.bit_length() - 1] | low
+        rest ^= low
     if popcount(undominated) == 2:
         cand &= undominated
     if not cand:
         return 0
-    first: dict[int, int] = {}  # trace -> its least vertex
+    first: dict[int, int] = {}  # trace -> the bit of its least vertex
     shared: dict[int, int] = {}  # trace -> its class, if two or more share it
-    for v in bits_of(out & ~undominated):
-        t = adj[v] & m
-        u = first.setdefault(t, v)
-        if u != v:
-            shared[t] = shared.get(t, 1 << u) | 1 << v
+    rest = out & ~undominated
+    while rest:
+        low = rest & -rest
+        t = adj[low.bit_length() - 1] & m
+        u = first.setdefault(t, low)
+        if u != low:
+            shared[t] = shared.get(t, u) | low
+        rest ^= low
     for cls in shared.values():
         size = popcount(cls)
         if size == 2:
-            a, b = bits_of(cls)
-            cand &= cls | (adj[a] ^ adj[b])
+            low = cls & -cls
+            na = adj[low.bit_length() - 1]
+            nb = adj[(cls ^ low).bit_length() - 1]
+            cand &= cls | (na ^ nb)
         elif size == 3:
-            for x in bits_of(cls):
-                if popcount(adj[x] & cls) != 1:
-                    cand &= ~(1 << x)
+            rest = cls
+            while rest:
+                low = rest & -rest
+                if popcount(adj[low.bit_length() - 1] & cls) != 1:
+                    cand &= ~low
+                rest ^= low
             cand &= cls
         else:
             return 0
@@ -273,13 +288,17 @@ def _colex_least_ld(g: Graph, k: int) -> Optional[int]:
         pool = chosen | ((1 << limit) - 1)
         free = pool & ~chosen
         fixed_traces = set()
-        for v in bits_of(full & ~pool):
-            if adj[v] & free == 0:
+        out = full & ~pool
+        while out:
+            low = out & -out
+            a = adj[low.bit_length() - 1]
+            if a & free == 0:
                 # non-empty: colex_walk's domination test has passed
-                t = adj[v] & chosen
+                t = a & chosen
                 if t in fixed_traces:
                     return False
                 fixed_traces.add(t)
+            out ^= low
         return True
 
     return colex_walk(g, k, locatable, lambda m: is_ld_mask(g, m))
@@ -293,16 +312,27 @@ def gamma_l(g: Graph) -> tuple[int, VertexSet]:
     by that proof, so no search refutes it.  Within each cardinality the
     witness search follows colex order, so the result matches the plain
     enumeration (gamma_l_naive) exactly.
+
+    The value and witness are memoized on the Graph object itself, which
+    is immutable, so the memo is never stale: later calls on the same
+    object, and d_loc and c_l_exact through gamma_l_value, reuse them
+    without a search.  An equal but distinct Graph searches again.  Each
+    call returns a fresh VertexSet.
     """
-    if g.n == 0:
-        raise ValueError("gamma_l of the empty graph is undefined")
-    if not is_connected(g):
-        raise DisconnectedGraphError("gamma_l assumes a connected graph")
-    for k in range(gamma_l_lower_bound(g), g.n + 1):
-        hit = _colex_least_ld(g, k)
-        if hit is not None:
-            return k, VertexSet(hit, g.n)
-    raise AssertionError("unreachable: V itself is an LD-set")
+    if g._gamma_l is None:
+        if g.n == 0:
+            raise ValueError("gamma_l of the empty graph is undefined")
+        if not is_connected(g):
+            raise DisconnectedGraphError("gamma_l assumes a connected graph")
+        for k in range(gamma_l_lower_bound(g), g.n + 1):
+            hit = _colex_least_ld(g, k)
+            if hit is not None:
+                g._gamma_l = (k, hit)
+                break
+        else:
+            raise AssertionError("unreachable: V itself is an LD-set")
+    k, hit = g._gamma_l
+    return k, VertexSet(hit, g.n)
 
 
 def gamma_l_value(g: Graph) -> int:

@@ -282,12 +282,15 @@ class _Search:
 
             def leaf(s: int) -> bool:
                 if good(g, s):
-                    for v in bits_of(s):
-                        a = s & ~(1 << v)
+                    rest = s
+                    while rest:
+                        low = rest & -rest
+                        a = s ^ low
                         if not verdict(a):
                             counts[a] = counts.get(a, 0) + 1
                             if counts[a] == most:
                                 return True
+                        rest ^= low
                 return False
 
             colex_walk(g, t + 1, admit, leaf)

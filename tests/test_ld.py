@@ -32,6 +32,7 @@ from locdom.ld import (
     slater_log_lower_bound,
     slater_upper_check,
 )
+from locdom.solver import c_l_exact
 
 
 def test_is_dominating():
@@ -127,6 +128,34 @@ def test_gamma_l_searches_only_from_the_bound(monkeypatch):
         calls.clear()
         assert gamma_l_value(g) == 12
         assert calls == [12]
+
+
+def test_gamma_l_is_memoized_on_the_graph_object(monkeypatch):
+    calls = []
+    search = ld._colex_least_ld
+
+    def counted(g, k):
+        calls.append(k)
+        return search(g, k)
+
+    monkeypatch.setattr(ld, "_colex_least_ld", counted)
+    g = cycle(9)
+    value, witness = gamma_l(g)
+    assert calls == [4]
+    calls.clear()
+    again = gamma_l(g)
+    assert again == (value, witness) and again[1] is not witness
+    d_loc(g)
+    c_l_exact(g)
+    assert gamma_l(g.with_name("x")) == (value, witness)
+    assert calls == []
+    # the memo belongs to the object: equal graphs built anew search again
+    rotated = g.relabeled([(v + 1) % 9 for v in range(9)])
+    for h in (rotated, Graph(9, g.edges())):
+        assert h == g
+        calls.clear()
+        assert gamma_l(h) == (value, witness)
+        assert calls == [4]
 
 
 def test_gamma_l_lower_bound_rejects_empty_graph():

@@ -6,9 +6,10 @@ compare against:
     python3 tools/bench_kernels.py --before OLD/src --after src \\
         --before-label OLD_COMMIT --after-label NEW_COMMIT --out BENCH_kernels.json
 
-Each round measures each side in a fresh interpreter that has only that
-side's source tree on its path; the sides alternate which goes first, and
-every figure is the median over the rounds, with its quartiles.
+Each of the ROUNDS rounds measures each side in a fresh interpreter that
+has only that side's source tree on its path; the sides alternate which
+goes first, and every figure is the median over the rounds, with its
+quartiles.
 
 Kernels: ns per call of ld.is_ld_mask and ld.singleton_completers,
 looped over one fixed list of uniformly random masks (random.Random(0),
@@ -38,6 +39,7 @@ from pathlib import Path
 
 TREE10 = [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (2, 6), (6, 7), (3, 8), (8, 9)]
 MASKS = 20_000
+ROUNDS = 7
 INNER = 3  # the fastest of INNER passes over the masks counts
 
 
@@ -134,7 +136,6 @@ def main() -> None:
     ap.add_argument("--after", help="source tree of the new side")
     ap.add_argument("--before-label", default="before")
     ap.add_argument("--after-label", default="after")
-    ap.add_argument("--rounds", type=int, default=5)
     ap.add_argument("--out", default="BENCH_kernels.json")
     ap.add_argument("--measure", help=argparse.SUPPRESS)  # child: one round
     args = ap.parse_args()
@@ -148,10 +149,8 @@ def main() -> None:
         return
     if not (args.before and args.after):
         ap.error("--before and --after are required")
-    if args.rounds < 2:
-        ap.error("--rounds must be at least 2 for quartiles")
     runs = {"before": [], "after": []}
-    for i in range(args.rounds):
+    for i in range(ROUNDS):
         order = ("before", "after") if i % 2 == 0 else ("after", "before")
         for side in order:
             src = args.before if side == "before" else args.after
@@ -167,7 +166,7 @@ def main() -> None:
             "platform": platform.platform(terse=True),
             "processor": platform.machine(),
         },
-        "rounds": args.rounds,
+        "rounds": ROUNDS,
         "masks_per_graph": MASKS,
         "before": {"label": args.before_label, **_summary(runs["before"])},
         "after": {"label": args.after_label, **_summary(runs["after"])},

@@ -115,13 +115,15 @@ def _read_partition(path: str, g: Graph) -> Partition:
     return Partition(parts, g.n)
 
 
-def _emit(doc: dict, args) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=False) + "\n"
-    if getattr(args, "output", None):
+def _report(args, doc: dict, text: Optional[str] = None) -> None:
+    """Write a subcommand's report.  stdout gets the text rendering, or
+    the JSON document under --json or when there is no text; --output
+    FILE always also gets the JSON document."""
+    data = json.dumps({"schema_version": SCHEMA_VERSION, **doc}, indent=2) + "\n"
+    if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            fh.write(data)
+    sys.stdout.write(data if text is None or getattr(args, "json", False) else text)
 
 
 def cmd_gamma_l(args) -> int:
@@ -129,18 +131,9 @@ def cmd_gamma_l(args) -> int:
     if not is_connected(g):
         raise DisconnectedGraphError("gamma-l requires a connected graph")
     value, witness = gamma_l(g)
-    if args.json:
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "gamma_l": value,
-                "witness": witness.to_sorted_list(),
-            },
-            args,
-        )
-    else:
-        print(f"gamma_l = {value}")
-        print("witness = {" + ", ".join(str(v) for v in witness.to_sorted_list()) + "}")
+    w = witness.to_sorted_list()
+    text = f"gamma_l = {value}\nwitness = {{" + ", ".join(map(str, w)) + "}\n"
+    _report(args, {"gamma_l": value, "witness": w}, text)
     return EXIT_OK
 
 
@@ -151,7 +144,7 @@ def cmd_cl(args) -> int:
         rep = c_l_at_least(g, args.at_least, budget=budget)
     else:
         rep = c_l_exact(g, budget=budget)
-    _emit(rep.to_json_dict(), args)
+    _report(args, rep.to_json_dict())
     return EXIT_OK if rep.status in ("exact", "none") else EXIT_BUDGET
 
 
@@ -159,35 +152,24 @@ def cmd_check_partition(args) -> int:
     g = _load_graph(args)
     p = _read_partition(args.partition, g)
     verdict = verify_ldc_partition(g, p)
-    if isinstance(verdict, LdcCertificate):
-        if args.json:
-            _emit(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "valid": True,
-                    "parts": [q.to_sorted_list() for q in p],
-                    "partners": list(verdict.partners),
-                },
-                args,
-            )
-        else:
-            print(f"valid LDC-partition with {len(p)} parts")
-            for i, j in enumerate(verdict.partners):
-                print(f"part {i} partners part {j}")
-        return EXIT_OK
-    if args.json:
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "valid": False,
-                "part_index": verdict.part_index,
-                "reason": verdict.reason,
-            },
-            args,
-        )
-    else:
-        print(f"invalid: {verdict.reason}")
-    return EXIT_FAIL
+    if not isinstance(verdict, LdcCertificate):
+        doc = {
+            "valid": False,
+            "part_index": verdict.part_index,
+            "reason": verdict.reason,
+        }
+        _report(args, doc, f"invalid: {verdict.reason}\n")
+        return EXIT_FAIL
+    doc = {
+        "valid": True,
+        "parts": [q.to_sorted_list() for q in p],
+        "partners": list(verdict.partners),
+    }
+    text = f"valid LDC-partition with {len(p)} parts\n" + "".join(
+        f"part {i} partners part {j}\n" for i, j in enumerate(verdict.partners)
+    )
+    _report(args, doc, text)
+    return EXIT_OK
 
 
 def cmd_coalition_graph(args) -> int:
@@ -207,14 +189,7 @@ def cmd_reproduce(args) -> int:
     if not rep.results:
         print(f"no claims match --only {args.only!r}", file=sys.stderr)
         return EXIT_PARSE
-    if args.json:
-        _emit(rep.to_json_dict(), args)
-    else:
-        sys.stdout.write(rep.to_tsv())
-        if getattr(args, "output", None):
-            with open(args.output, "w", encoding="utf-8") as fh:
-                json.dump(rep.to_json_dict(), fh, indent=2)
-                fh.write("\n")
+    _report(args, rep.to_json_dict(), rep.to_tsv())
     if rep.budget_hit:
         return EXIT_BUDGET
     return EXIT_OK if rep.overall_pass else EXIT_FAIL
@@ -233,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gamma-l", help="location-domination number with witness")
     _add_input_args(p)
     p.add_argument("--json", action="store_true", help="JSON output")
-    p.add_argument("--output", help="write the report to a file")
+    p.add_argument("--output", help="also write the JSON report to a file")
     p.set_defaults(fn=cmd_gamma_l)
 
     p = sub.add_parser("cl", help="maximum LDC-partition size")
@@ -247,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="decision mode: decide C_L >= K, with a certificate of at least "
         "K parts, or 'none', an exhaustive proof that C_L < K",
     )
-    p.add_argument("--output", help="write the JSON report to a file")
+    p.add_argument("--output", help="also write the JSON report to a file")
     p.set_defaults(fn=cmd_cl)
 
     p = sub.add_parser(
@@ -259,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="file with one part per line, vertex indices space-separated",
     )
     p.add_argument("--json", action="store_true", help="JSON output")
-    p.add_argument("--output", help="write the report to a file")
+    p.add_argument("--output", help="also write the JSON report to a file")
     p.set_defaults(fn=cmd_check_partition)
 
     p = sub.add_parser(
@@ -278,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--only", default=None, help="run only claims whose id contains this"
     )
     p.add_argument("--json", action="store_true", help="JSON report")
-    p.add_argument("--output", help="write the JSON report to a file")
+    p.add_argument("--output", help="also write the JSON report to a file")
     p.set_defaults(fn=cmd_reproduce)
     return ap
 

@@ -57,8 +57,8 @@ def petersen() -> Graph:
     return generalized_petersen(5, 2).with_name("petersen")
 
 
-def cubic_candidates(max_order: int = 12) -> list[Graph]:
-    """Well-known connected cubic graphs up to the given order, smallest
+def cubic_candidates() -> list[Graph]:
+    """Well-known connected cubic graphs of order at most 12, smallest
     first."""
     out = [
         complete(4),
@@ -73,7 +73,6 @@ def cubic_candidates(max_order: int = 12) -> list[Graph]:
         mobius_ladder(6),
         generalized_petersen(6, 2),
     ]
-    out = [g for g in out if g.n <= max_order]
     for g in out:
         assert is_cubic(g) and is_connected(g)
     return out
@@ -94,13 +93,11 @@ def six_completer_witnesses(g: Graph) -> list[tuple[VertexSet, list[int]]]:
     return out
 
 
-def find_sharp_witness(
-    max_order: int = 12,
-) -> Optional[tuple[Graph, VertexSet, list[int]]]:
-    """First known cubic graph up to max_order carrying a dominating
+def find_sharp_witness() -> Optional[tuple[Graph, VertexSet, list[int]]]:
+    """First known cubic graph of order at most 12 carrying a dominating
     non-LD set with exactly six completing vertices, the cap of twice
     the maximum degree."""
-    for g in cubic_candidates(max_order):
+    for g in cubic_candidates():
         ws = six_completer_witnesses(g)
         if ws:
             a, cs = ws[0]

@@ -41,14 +41,7 @@ def is_locating(g: Graph, s) -> bool:
     Empty traces count as equal to each other, so two undominated outside
     vertices already violate the property.
     """
-    m = as_mask(g, s)
-    seen = set()
-    for v in bits_of(g.full_mask() & ~m):
-        t = g.adj[v] & m
-        if t in seen:
-            return False
-        seen.add(t)
-    return True
+    return is_ld_set(g, s).locating
 
 
 def is_ld_mask(g: Graph, m: int) -> bool:

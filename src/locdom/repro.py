@@ -41,13 +41,12 @@ from .families import (
 )
 from .ld import gamma_l_value, is_complete, is_star, slater_log_lower_bound
 from .solver import (
+    SCHEMA_VERSION,
     Budget,
     BudgetExceeded,
     c_l_value,
     plain_coalition_number,
 )
-
-SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -229,18 +228,18 @@ def _census_trees(budget: Optional[Budget]):
 
 
 def _cubic_sharpness(budget: Optional[Budget]):
-    hit = find_sharp_witness(12)
+    hit = find_sharp_witness()
     if hit is None:
         return {"found": False}
     g, a, cs = hit
     earlier = []
-    for cand in cubic_candidates(12):
+    for cand in cubic_candidates():
         if cand.name == g.name:
             break
         earlier.append(cand.name)
     blank_before = all(
         not six_completer_witnesses(cand)
-        for cand in cubic_candidates(12)
+        for cand in cubic_candidates()
         if cand.name in earlier
     )
     cert = partition_realizing_cap(g, a, cs)

@@ -289,7 +289,7 @@ def test_criterion_10_oracle_equivalence():
 
 def test_criterion_11_cubic_sharpness():
     start = time.monotonic()
-    witness = find_sharp_witness(12)
+    witness = find_sharp_witness()
     assert witness is not None
     g, a, completers = witness
     assert is_cubic(g) and g.n <= 12

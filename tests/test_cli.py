@@ -172,6 +172,29 @@ def test_cl_output_file(capsys, tmp_path):
     assert code == 0
     doc = json.loads(target.read_text())
     assert doc["c_l"] == 4
+    assert json.loads(out) == doc
+
+
+def test_gamma_l_output_keeps_the_text(capsys, tmp_path):
+    target = tmp_path / "g.json"
+    code, out, _ = run(
+        capsys, ["gamma-l", "--family", "path:5", "--output", str(target)]
+    )
+    assert code == 0
+    assert out == "gamma_l = 2\nwitness = {1, 3}\n"
+    assert target.read_text() == (
+        '{\n  "schema_version": 1,\n  "gamma_l": 2,\n'
+        '  "witness": [\n    1,\n    3\n  ]\n}\n'
+    )
+
+
+def test_gamma_l_json_output_matches_stdout(capsys, tmp_path):
+    target = tmp_path / "g.json"
+    argv = ["gamma-l", "--family", "cycle:7", "--json", "--output", str(target)]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == target.read_text()
+    assert json.loads(out) == {"schema_version": 1, "gamma_l": 3, "witness": [0, 2, 4]}
 
 
 def test_check_partition_valid(capsys, tmp_path):
@@ -201,6 +224,24 @@ def test_check_partition_json(capsys, tmp_path):
         "valid": True,
         "parts": [[1, 3], [0, 2], [4], [5]],
         "partners": [2, 2, 0, 0],
+    }
+
+
+def test_check_partition_output_keeps_the_text(capsys, tmp_path):
+    pfile = tmp_path / "k3.txt"
+    pfile.write_text("0 1\n2\n")
+    target = tmp_path / "verdict.json"
+    code, out, _ = run(
+        capsys,
+        ["check-partition", "--family", "cycle:3", str(pfile), "--output", str(target)],
+    )
+    assert code == 1
+    assert out == "invalid: part 0 is an LD-set\n"
+    assert json.loads(target.read_text()) == {
+        "schema_version": 1,
+        "valid": False,
+        "part_index": 0,
+        "reason": "part 0 is an LD-set",
     }
 
 

@@ -18,7 +18,7 @@ from locdom.ld import is_ld_set
 
 
 def test_candidate_pool():
-    cands = cubic_candidates(12)
+    cands = cubic_candidates()
     assert [g.name for g in cands] == [
         "K_4",
         "K_3,3",
@@ -39,7 +39,7 @@ def test_candidate_pool():
 
 
 def test_witness_counts():
-    counts = {g.name: len(six_completer_witnesses(g)) for g in cubic_candidates(12)}
+    counts = {g.name: len(six_completer_witnesses(g)) for g in cubic_candidates()}
     assert counts == {
         "K_4": 0,
         "K_3,3": 0,
@@ -56,7 +56,7 @@ def test_witness_counts():
 
 
 def test_sharp_witness():
-    g, a, completers = find_sharp_witness(12)
+    g, a, completers = find_sharp_witness()
     assert g.name == "petersen"
     assert a.to_sorted_list() == [0, 2, 6]
     assert completers == [3, 4, 5, 7, 8, 9]
@@ -67,7 +67,7 @@ def test_sharp_witness():
 
 
 def test_partition_realizing_cap():
-    g, a, completers = find_sharp_witness(12)
+    g, a, completers = find_sharp_witness()
     cert = partition_realizing_cap(g, a, completers)
     assert cert is not None
     assert cert.verify(g)

@@ -56,6 +56,12 @@ def test_run_cheap_census_claims():
     assert rep2.overall_pass
 
 
+def test_every_claim_passes():
+    rep = run_claims()
+    assert [r.status for r in rep.results] == ["pass"] * 14
+    assert rep.overall_pass
+
+
 def test_budget_makes_heavy_claim_inconclusive():
     rep = run_claims(only="cycles-cl-values", budget=Budget(seconds=0.05))
     assert not rep.overall_pass

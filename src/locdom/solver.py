@@ -9,14 +9,15 @@ with symmetry breaking (equal-size parts in order, twins in order) and
 incremental partner checks.  The search takes the predicate parts are
 judged by with its completer kernel: ld.is_ld_mask and
 ld.singleton_completers for C_L, ld.is_dominating and
-ld.dominating_completers for the plain coalition number, where a
-dominating singleton may also stand alone.  A capacity rule counts
-singleton partners from the first slot on: parts that can partner a
-singleton complete at most C_max(size) of them, which can refute a type
-before it is searched; C_max comes from a walk over the good sets one
-larger.  Each solve builds one _Search, which screens the types,
-searches the survivors and keeps the predicate caches and the node count
-that all of them share.
+ld.dominating_completers for the plain coalition number, which first
+sets aside its only good singletons, the universal vertices: every part
+searched needs a partner.  A capacity rule counts singleton partners
+from the first slot on: parts that can partner a singleton complete at
+most C_max(size) of them, which can refute a type before it is
+searched; C_max comes from a walk over the good sets one larger.  Each
+solve builds one _Search, which screens the types, searches the
+survivors and keeps the predicate caches and the node count that all of
+them share.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .graph import (
     bits_of,
     is_connected,
     lower_twins,
+    mask_of,
     popcount,
 )
 from .ld import (
@@ -143,22 +145,14 @@ def type_labels(sizes: tuple[int, ...], gamma: int, max_partners: int) -> frozen
     possible partner at all.  Failing that, label {1, 2} marks a type with
     a part forced to partner more parts than any one part may carry
     (max_partners).  Empty set: the type survives to assignment search.
-
-    A size-1 part is exempt when gamma <= 1: it may be a good singleton
-    standing alone, which needs no partner.
     """
     k = len(sizes)
-    possible = []
-    for j in range(k):
-        if sizes[j] == 1 and gamma <= 1:
-            possible.append(None)
-            continue
-        pj = frozenset(
-            i for i in range(k) if i != j and sizes[i] + sizes[j] >= gamma
-        )
-        if not pj:
-            return frozenset({1})
-        possible.append(pj)
+    possible = [
+        frozenset(i for i in range(k) if i != j and sizes[i] + sizes[j] >= gamma)
+        for j in range(k)
+    ]
+    if not all(possible):
+        return frozenset({1})
     for i in range(k):
         forced = sum(1 for j in range(k) if j != i and possible[j] == frozenset({i}))
         if forced > max_partners:
@@ -178,7 +172,8 @@ class _Search:
 
     good is the predicate parts are judged by (is_ld_mask or
     is_dominating), completers its completer kernel (singleton_completers
-    or dominating_completers), and gamma the size of the least good set.
+    or dominating_completers), and gamma >= 2 the size of the least good
+    set: every part needs a partner.
     verdict(mask) is good(g, mask) memoized: a search asks about a few
     thousand masks a million times.  completers(p), also memoized, is the
     mask of every w outside the part p with good(p | {w}).  capacities
@@ -190,10 +185,9 @@ class _Search:
     combinations from the remaining pool; equal-size slots keep their
     least elements increasing, so a slot's floor is the least element of
     the slot before it when that one has the same size.  After each
-    placement: the part must not already be good alone, unless it is a
-    singleton and gamma <= 1 (then it stands alone and needs no partner);
-    every placed part must have an exact partner or an optimistic one
-    through the untouched pool; and the capacity rule must hold.
+    placement: the part must not already be good alone; every placed
+    part must have an exact partner or an optimistic one through the
+    untouched pool; and the capacity rule must hold.
 
     Capacity rule.  With gamma >= 3, a singleton part {w} needs a partner X
     with |X| >= gamma - 1 and w in completers(X).  A placed X puts w in
@@ -202,8 +196,8 @@ class _Search:
     singletons left after slot i, the search goes on only while
     popcount(pool & reach) + fut[i + 1] >= s, fut[j] summing C_max over
     the slots from j on of size >= gamma - 1; fut[0] < s refutes the type
-    before slot 0.  This holds for any predicate.  With gamma <= 2,
-    singletons may partner each other or stand alone: fut is infinite.
+    before slot 0.  This holds for any predicate.  With gamma = 2,
+    singletons may partner each other: fut is infinite.
 
     Twin rule.  A slot skips, before counting a node, every combination
     that holds v but not a lower twin u of v (see lower_twins) that the
@@ -318,8 +312,6 @@ class _Search:
                 return None
 
         parts: list[int] = []  # placed masks
-        mins: list[int] = []  # least element per placed part
-        needs: list[bool] = []  # placed part needs (and can be) a partner
 
         # reach: completer_reach of the placed parts, None until the
         # capacity rule first can fail
@@ -329,8 +321,9 @@ class _Search:
             if i == k:
                 return parts[:] if all(settled) else None
             size = sizes[i]
-            floor = mins[-1] if (i > 0 and sizes[i - 1] == size) else -1
-            free = pool >> (floor + 1) << (floor + 1)  # what this slot may take
+            tied = i > 0 and sizes[i - 1] == size  # floor: parts[-1]'s low bit
+            above = (parts[-1] & -parts[-1]).bit_length() if tied else 0
+            free = pool >> above << above  # what this slot may take
             avail = list(bits_of(free))
             for combo in combinations(avail, size):
                 m = 0
@@ -339,23 +332,15 @@ class _Search:
                 if twins and any(twins[v] & free & ~m for v in combo):
                     continue
                 self._tick()
-                # gamma <= 1 only for plain coalitions: every connected graph
-                # of order >= 3 has gamma_l >= 2, and C_L searches only those
-                standalone = size == 1 and gamma <= 1 and verdict(m)
-                if size >= gamma and not standalone and verdict(m):
+                if size >= gamma and verdict(m):
                     continue
                 rest = pool & ~m
-                needs_i = not standalone
-                new_settled = settled + [not needs_i]
-                if needs_i:
-                    for j in range(i):
-                        if (
-                            needs[j]
-                            and not (new_settled[j] and new_settled[i])
-                            and verdict(parts[j] | m)
-                        ):
-                            new_settled[j] = True
-                            new_settled[i] = True
+                new_settled = settled + [False]
+                for j in range(i):
+                    if not (new_settled[j] and new_settled[i]) and verdict(
+                        parts[j] | m
+                    ):
+                        new_settled[j] = new_settled[i] = True
                 ok = True
                 for j in range(i + 1):
                     if not new_settled[j]:
@@ -366,21 +351,17 @@ class _Search:
                 reach_i = None
                 s = singles_after[i + 1]
                 if ok and fut[i + 1] < s:
-                    # fut is finite, so gamma >= 3 and every part needs a partner
+                    # fut is finite, so gamma >= 3
                     if reach is None:
                         reach = self.completer_reach(parts)
                     reach_i = reach | completers(m)
                     ok = popcount(rest & reach_i) + fut[i + 1] >= s
                 if ok:
                     parts.append(m)
-                    mins.append(combo[0])
-                    needs.append(needs_i)
                     found = place(i + 1, rest, new_settled, reach_i)
                     if found is not None:
                         return found
                     parts.pop()
-                    mins.pop()
-                    needs.pop()
             return None
 
         return place(0, self.g.full_mask(), [], None)
@@ -594,21 +575,38 @@ def plain_coalition_number(
     whose union dominates), except that a dominating set of size one may
     stand alone as its own part.  Running out of budget raises
     BudgetExceeded.
+
+    Those singletons are the universal vertices U (N[v] = V), set aside
+    before the search.  A part holding one dominates, so it is that vertex
+    alone.  A non-empty S within V - U dominates g exactly when it
+    dominates h = g - U, as U lies in N(S); and h has no universal vertex,
+    which would be universal in g too.  So the answer is |U| plus the
+    search on h, where every part needs a partner: g.n when h is empty,
+    "none" when h has no partition.  h may be disconnected, which nothing
+    in the search assumes away.
     """
+    if g.n == 0:
+        raise ValueError("the coalition number of the empty graph is undefined")
     if not is_connected(g):
         raise DisconnectedGraphError("coalition search requires a connected graph")
-    if g.n == 1:
-        return 1  # the single vertex dominates and stands alone
-    gamma = _domination_number(g)
-    kmax = min(g.n, g.n - gamma + 2)
-    search = _Search(g, is_dominating, dominating_completers, gamma, budget)
-    status, sizes, masks = search.run(range(kmax, 0, -1), g.max_degree() + 1)
+    keep = [v for v in range(g.n) if g.adj[v] | 1 << v != g.full_mask()]
+    if not keep:
+        return g.n
+    index = {v: i for i, v in enumerate(keep)}
+    edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+    h = Graph(len(keep), edges)
+    gamma = _domination_number(h)
+    kmax = h.n - gamma + 2  # at most h.n: no universal vertex, so gamma >= 2
+    search = _Search(h, is_dominating, dominating_completers, gamma, budget)
+    status, sizes, masks = search.run(range(kmax, 1, -1), h.max_degree() + 1)
     if status == "budget":
         raise BudgetExceeded(
-            f"search at size {len(sizes)} ran out of budget", search.nodes
+            f"search at size {len(sizes) + g.n - h.n} ran out of budget", search.nodes
         )
     if status == "unsat":
         return "none"
+    masks = [mask_of(keep[i] for i in bits_of(m)) for m in masks]
+    masks += [1 << v for v in range(g.n) if v not in index]
     if not _valid_coalition_partition(g, masks, is_dominating, True):
         raise AssertionError("search returned an invalid coalition partition")
-    return len(sizes)
+    return len(masks)

@@ -8,7 +8,7 @@ from locdom import solver
 from locdom.census import enumerate_graphs, enumerate_trees
 from locdom.families import complete, cycle, path, spider
 from locdom.graph import Graph
-from locdom.ld import is_ld_mask, singleton_completers
+from locdom.ld import is_dominating, is_ld_mask, singleton_completers
 from locdom.solver import (
     Budget,
     c_l_at_least,
@@ -276,9 +276,6 @@ def test_type_labels():
     assert type_labels((6, 5, 1, 1, 1, 1), 6, 4) == frozenset()
     assert 1 in type_labels((2, 1, 1, 1, 1, 1), 3, 4)
     assert type_labels((4, 4, 2, 2, 2, 1), 6, 4) == frozenset({1})
-    # with gamma <= 1 a singleton may stand alone, so it forces no partner
-    assert type_labels((1, 1), 1, 0) == frozenset()
-    assert type_labels((2, 2), 1, 0) == frozenset({1, 2})
 
 
 def test_plain_coalition_number():
@@ -286,6 +283,23 @@ def test_plain_coalition_number():
     assert plain_coalition_number(complete(2)) == 2
     assert plain_coalition_number(complete(3)) == 3
     assert plain_coalition_number(cycle(5)) == 5
+    with pytest.raises(ValueError):
+        plain_coalition_number(Graph(0))
+
+
+def test_universal_vertices_never_reach_the_search():
+    # every vertex of K_n is universal and stands alone, so no search node
+    # is spent, and a one-node budget suffices
+    for n in range(1, 9):
+        assert plain_coalition_number(complete(n), Budget(nodes=1)) == n
+    # the order-7 graphs with a universal vertex, one order past the
+    # oracle census of criterion 10
+    checked = 0
+    for g in enumerate_graphs(7, connected_only=True):
+        if any(a | 1 << v == g.full_mask() for v, a in enumerate(g.adj)):
+            assert plain_coalition_number(g) == c_l_oracle(g, is_dominating), g
+            checked += 1
+    assert checked == 156
 
 
 def test_numeric_projection():

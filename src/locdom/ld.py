@@ -195,7 +195,7 @@ def gamma_l_lower_bound(g: Graph) -> int:
 
     On paths and cycles of order n >= 3 the bound is ceil(2n / 5) = gamma_l.
     """
-    degrees = sorted((g.degree(v) for v in range(g.n)), reverse=True)
+    degrees = sorted((a.bit_count() for a in g.adj), reverse=True)
     top = 0  # D_k
     for k, d in enumerate(degrees, 1):
         top += d
@@ -268,30 +268,43 @@ def colex_walk(g: Graph, k: int, admit, leaf) -> Optional[int]:
 def _colex_least_ld(g: Graph, k: int) -> Optional[int]:
     """Colex-least LD-set of size k, or None if no size-k LD-set exists.
 
-    Beyond colex_walk's domination test, prunes a node at which two
-    vertices outside chosen | prefix have traces that are already fully
-    decided (no neighbors in the undecided zone) and equal: they can never
-    be separated.  Both conditions are necessary for every completion, so
-    the first subset reached is exactly the colex-least LD-set of this size.
+    Beyond colex_walk's domination test, prunes a node (chosen, limit) at
+    which two decided vertices, outside chosen with no neighbour below
+    limit, share a trace: later picks lie below limit, so the traces are
+    final.  Both tests hold for every completion, so the first subset
+    reached is exactly the colex-least LD-set of this size.
+
+    decided[L] only grows as L falls, so the admitted parent (limit p, the
+    least chosen vertex above limit, or n) had decided[p] & ~chosen, with
+    the same traces, all distinct: only the newly decided need a check.
+    owner maps a trace to its last claimant, with no undo; an entry
+    clashes only while its vertex is another decided vertex with that
+    trace, so every clash found is real.  A check overwrites owner[t] only
+    if no decided vertex of the parent has trace t, and an admitted node
+    registers all its new vertices, so on the current path each decided
+    vertex owns its trace: the prune cuts exactly what a full rescan cuts.
     """
-    full = g.full_mask()
-    adj = g.adj
+    n, adj = g.n, g.adj
+    decided = [0] * (n + 1)  # decided[L]: the v >= L with no neighbour below L
+    for v in range(n):
+        c = adj[v] | 1 << v
+        decided[(c & -c).bit_length() - 1] |= 1 << v  # L = min N[v]
+    for i in range(n - 1, -1, -1):
+        decided[i] |= decided[i + 1]
+    owner: dict[int, int] = {}
 
     def locatable(chosen: int, limit: int) -> bool:
-        pool = chosen | ((1 << limit) - 1)
-        free = pool & ~chosen
-        fixed_traces = set()
-        out = full & ~pool
-        while out:
-            low = out & -out
-            a = adj[low.bit_length() - 1]
-            if a & free == 0:
-                # non-empty: colex_walk's domination test has passed
-                t = a & chosen
-                if t in fixed_traces:
-                    return False
-                fixed_traces.add(t)
-            out ^= low
+        above = chosen ^ (1 << limit)
+        now = decided[limit] & ~chosen
+        new = now & ~decided[(above & -above).bit_length() - 1 if above else n]
+        while new:
+            v = (new & -new).bit_length() - 1
+            t = adj[v] & chosen  # non-empty: the domination test passed
+            u = owner.get(t, v)
+            if u != v and now >> u & 1 and adj[u] & chosen == t:
+                return False
+            owner[t] = v
+            new ^= 1 << v
         return True
 
     return colex_walk(g, k, locatable, lambda m: is_ld_mask(g, m))

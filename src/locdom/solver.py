@@ -162,7 +162,7 @@ def type_labels(sizes: tuple[int, ...], gamma: int, max_partners: int) -> frozen
 
 # -- assignment search ---------------------------------------------------
 
-# Searches check their deadline every _CHECK_EVERY nodes.
+# The deadline is checked every _CHECK_EVERY nodes and at every type screened.
 _CHECK_EVERY = 256
 
 
@@ -381,6 +381,8 @@ class _Search:
         """
         for k in counts:
             for sizes in partitions_of_int(self.g.n, k):
+                if self.deadline is not None and time.monotonic() > self.deadline:
+                    return ("budget", sizes, None)
                 if type_labels(sizes, self.gamma, max_partners):
                     continue
                 try:

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from locdom import ld
 from locdom.canon import canonical_key, tree_canonical_key
 from locdom.families import cycle, path, spider
 from locdom.graph import (
@@ -226,6 +227,68 @@ def test_colex_walk_reaches_exactly_the_dominating_sets(g, data):
     assert colex_walk(g, k, lambda chosen, limit: True, leaf) is None
     assert all(is_dominating(g, s) for s in leaves)
     assert leaves == [m for m in colex_subsets(g.n, k) if is_dominating(g, m)]
+
+
+def rescan_least_ld(g, k):
+    """ld._colex_least_ld with its locating prune as a full rescan: each
+    node checks every decided vertex (outside chosen, no neighbour below
+    limit) against all the others."""
+    full, adj = g.full_mask(), g.adj
+
+    def locatable(chosen, limit):
+        pool = chosen | ((1 << limit) - 1)
+        free = pool & ~chosen
+        fixed_traces = set()
+        for v in bits_of(full & ~pool):
+            if adj[v] & free == 0:
+                if adj[v] & chosen in fixed_traces:
+                    return False
+                fixed_traces.add(adj[v] & chosen)
+        return True
+
+    return ld.colex_walk(g, k, locatable, lambda m: is_ld_mask(g, m))
+
+
+def walked(search, g, k):
+    """search(g, k) with the admit calls of its colex_walk and how many
+    of them admitted."""
+    walk = ld.colex_walk
+    counts = [0, 0]
+
+    def counted_walk(g, k, admit, leaf):
+        def counted_admit(chosen, limit):
+            ok = admit(chosen, limit)
+            counts[0] += 1
+            counts[1] += ok
+            return ok
+
+        return walk(g, k, counted_admit, leaf)
+
+    ld.colex_walk = counted_walk
+    try:
+        return search(g, k), counts
+    finally:
+        ld.colex_walk = walk
+
+
+def assert_incremental_prune_is_the_rescan(g):
+    # same mask and the same nodes at every cardinality gamma_l tries
+    for k in range(gamma_l_lower_bound(g), gamma_l_value(g) + 1):
+        assert walked(ld._colex_least_ld, g, k) == walked(rescan_least_ld, g, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(min_n=1, max_n=10))
+def test_incremental_locating_prune_matches_the_rescan(g):
+    assume(is_connected(g))
+    assert_incremental_prune_is_the_rescan(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 18), st.sampled_from([path, cycle]), st.data())
+def test_incremental_locating_prune_matches_the_rescan_on_paths_and_cycles(n, family, data):
+    perm = data.draw(st.permutations(range(n)))
+    assert_incremental_prune_is_the_rescan(family(n).relabeled(perm))
 
 
 def completers_by_vertex(g, good, cands, rest):

@@ -215,9 +215,19 @@ def test_budget_fixes_its_deadline_when_made():
     assert Budget().deadline is None
     time.sleep(0.06)
     # the deadline passed before the solve began, so its first deadline
-    # check stops it
+    # check, at the first type screened, stops it before any node
     rep = c_l_exact(path(18), budget=budget)
-    assert (rep.status, rep.nodes_explored) == ("inconclusive", 256)
+    assert (rep.status, rep.nodes_explored) == ("inconclusive", 0)
+    assert rep.bounds_used[-1] == ("refuted_down_to", 13)
+
+
+def test_type_screen_keeps_the_deadline():
+    # P_60 screens 353,053 types, none of them searched, before its first
+    # survivor at k = 16: the screen checks the deadline once per type
+    start = time.monotonic()
+    rep = c_l_exact(path(60), budget=Budget(seconds=0.5))
+    assert rep.status == "inconclusive"
+    assert time.monotonic() - start < 3
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,13 @@ timed inside c_l_exact by wrapping solver._Search.capacity; nodes are the
 summed nodes_explored, walk nodes the ticks the walks took, and
 colex_searches the calls of ld._colex_least_ld (one per cardinality
 gamma_l tries).
+
+Gamma: seconds of gamma_l on the gamma-sweep benchmark instances at seed
+1 (perfbench/workloads.py builds them: 12 relabelled copies each of P_n
+and C_n, 3 <= n <= 18), and on prism(12), prism(14) and mobius_ladder(14)
+(24, 28 and 28 vertices), each graph a fresh object so no memo answers.
+The nodes are the colex-walk nodes the locating prune admitted, counted
+in a second, untimed pass by wrapping ld.colex_walk.
 """
 
 from __future__ import annotations
@@ -36,6 +43,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 TREE10 = [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (2, 6), (6, 7), (3, 8), (8, 9)]
 MASKS = 20_000
@@ -110,8 +119,50 @@ def _census() -> dict:
     }
 
 
+def _gamma() -> dict:
+    from locdom import ld
+    from locdom.cubic import mobius_ladder, prism
+
+    sys.path.insert(0, str(PERFBENCH))
+    from workloads import prepare_gamma
+
+    builds = {
+        "sweep": lambda: [inst.graph for inst in prepare_gamma("gamma-sweep", 1, "full")],
+        "prism12": lambda: [prism(12)],
+        "prism14": lambda: [prism(14)],
+        "mobius14": lambda: [mobius_ladder(14)],
+    }
+    walk = ld.colex_walk
+    admitted = [0]
+
+    def counted_walk(g, k, admit, leaf):
+        def counted_admit(chosen, limit):
+            ok = admit(chosen, limit)
+            admitted[0] += ok
+            return ok
+
+        return walk(g, k, counted_admit, leaf)
+
+    out = {}
+    for name, build in builds.items():
+        graphs = build()
+        t0 = time.perf_counter()
+        for g in graphs:
+            ld.gamma_l(g)
+        out[f"{name}_s"] = time.perf_counter() - t0
+        admitted[0] = 0
+        ld.colex_walk = counted_walk
+        try:
+            for g in build():
+                ld.gamma_l(g)
+        finally:
+            ld.colex_walk = walk
+        out[f"{name}_nodes"] = admitted[0]
+    return out
+
+
 def _measure() -> dict:
-    return {"kernels": _kernels(), "census": _census()}
+    return {"kernels": _kernels(), "gamma": _gamma(), "census": _census()}
 
 
 def _summary(rounds: list[dict]) -> dict:

@@ -14,9 +14,12 @@ sets aside its only good singletons, the universal vertices: every part
 searched needs a partner.  A capacity rule counts singleton partners
 from the first slot on: parts that can partner a singleton complete at
 most C_max(size) of them, which can refute a type before it is
-searched; C_max comes from a walk over the good sets one larger.  Each
-solve builds one _Search, which screens the types, searches the
-survivors and keeps the predicate caches and the node count that all of
+searched; C_max comes from a walk over the good sets one larger, which
+also records every completer it meets, so the search reads which
+vertices complete a placed part from the walk's table (from the kernel
+only for a size whose walk stopped early).  Each solve builds one
+_Search, which screens the types, searches the survivors and keeps the
+predicate caches, the completer tables and the node count that all of
 them share.
 """
 
@@ -145,7 +148,14 @@ def type_labels(sizes: tuple[int, ...], gamma: int, max_partners: int) -> frozen
     possible partner at all.  Failing that, label {1, 2} marks a type with
     a part forced to partner more parts than any one part may carry
     (max_partners).  Empty set: the type survives to assignment search.
+
+    With sizes descending and k >= 2 parts, the smallest part's best
+    partner is the largest, which partners every other part once it
+    partners the smallest; so label {1} holds exactly when the largest
+    and smallest sizes sum to less than gamma, and is read off at once.
     """
+    if sizes[0] + sizes[-1] < gamma:
+        return frozenset({1})
     k = len(sizes)
     possible = [
         frozenset(i for i in range(k) if i != j and sizes[i] + sizes[j] >= gamma)
@@ -166,6 +176,21 @@ def type_labels(sizes: tuple[int, ...], gamma: int, max_partners: int) -> frozen
 _CHECK_EVERY = 256
 
 
+class _Completers(dict):
+    """Completer masks of rejected parts, keyed by part.  A missing part
+    is filled in by fill, the completer kernel, or without one has none."""
+
+    def __init__(self, fill=None):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, p: int) -> int:
+        if self.fill is None:
+            return 0
+        c = self[p] = self.fill(p)
+        return c
+
+
 class _Search:
     """One solve: a slot-sequential assignment search over the part-size
     types that survive type_labels, with the caches all its types share.
@@ -175,11 +200,13 @@ class _Search:
     or dominating_completers), and gamma >= 2 the size of the least good
     set: every part needs a partner.
     verdict(mask) is good(g, mask) memoized: a search asks about a few
-    thousand masks a million times.  completers(p), also memoized, is the
-    mask of every w outside the part p with good(p | {w}).  capacities
-    holds C_max by part size.  All fill lazily, as Graph allows n up to
-    128.  nodes counts search nodes and walk nodes alike, and the budget's
-    node cap bounds that one count.
+    thousand masks a million times.  capacities holds C_max by part
+    size, and tables[t], for each t whose C_max walk ran to the end, the
+    completer mask (every w outside the part p with good(p | {w})) of
+    each rejected t-set, read off that walk.  Other sizes ask the kernel,
+    memoized.  All fill lazily, as Graph allows n up to 128.  nodes
+    counts search nodes and walk nodes alike, and the budget's node cap
+    bounds that one count.
 
     Slots are filled in size-descending order with lexicographic
     combinations from the remaining pool; equal-size slots keep their
@@ -197,7 +224,9 @@ class _Search:
     popcount(pool & reach) + fut[i + 1] >= s, fut[j] summing C_max over
     the slots from j on of size >= gamma - 1; fut[0] < s refutes the type
     before slot 0.  This holds for any predicate.  With gamma = 2,
-    singletons may partner each other: fut is infinite.
+    singletons may partner each other: fut is infinite.  Every slot
+    the rule reads was walked for fut, so reach comes from the tables,
+    except for a size whose walk stopped early.
 
     Twin rule.  A slot skips, before counting a node, every combination
     that holds v but not a lower twin u of v (see lower_twins) that the
@@ -227,29 +256,46 @@ class _Search:
         self.deadline = budget.deadline
         self.node_cap = budget.nodes
         self.nodes = 0
+        self._check_at = self._next_check()
         self.good = good
         self.verdict = functools.cache(lambda m: good(g, m))
-        self.completers = functools.cache(lambda p: completers(g, p))
         self.capacities: dict[int, int] = {}
-        twins = lower_twins(g)
-        self.twins = twins if any(twins) else None  # twin-free: no check
+        self.tables: dict[int, _Completers] = {}
+        self._kernel = _Completers(lambda p: completers(g, p))
+        self._no_completers = _Completers()
+        # lower twins by vertex bit; twin-free: no check
+        self.twins = {1 << v: t for v, t in enumerate(lower_twins(g)) if t} or None
+
+    def _next_check(self) -> int:
+        """The node count at which _tick next checks the budget."""
+        at = (self.nodes // _CHECK_EVERY + 1) * _CHECK_EVERY
+        return at if self.node_cap is None else min(at, self.node_cap + 1)
 
     def _tick(self):
         self.nodes += 1
-        if self.node_cap is not None and self.nodes > self.node_cap:
-            raise BudgetExceeded("node budget exceeded", self.nodes)
-        if (
-            self.nodes % _CHECK_EVERY == 0
-            and self.deadline is not None
-            and time.monotonic() > self.deadline
-        ):
-            raise BudgetExceeded("time budget exceeded", self.nodes)
+        if self.nodes >= self._check_at:
+            if self.node_cap is not None and self.nodes > self.node_cap:
+                raise BudgetExceeded("node budget exceeded", self.nodes)
+            if (
+                self.nodes % _CHECK_EVERY == 0
+                and self.deadline is not None
+                and time.monotonic() > self.deadline
+            ):
+                raise BudgetExceeded("time budget exceeded", self.nodes)
+            self._check_at = self._next_check()
+
+    def completer_table(self, size: int) -> _Completers:
+        """Completer masks of the rejected parts of one size: the walk's
+        table, none at all below gamma - 1, or else the kernel's."""
+        if size + 1 < self.gamma:
+            return self._no_completers
+        return self.tables.get(size, self._kernel)
 
     def completer_reach(self, cands) -> int:
-        """Vertices that complete some part in cands to a good set."""
+        """Vertices that complete some rejected part in cands to a good set."""
         reach = 0
         for p in cands:
-            reach |= self.completers(p)
+            reach |= self.completer_table(popcount(p))[p]
         return reach
 
     def capacity(self, t: int) -> int:
@@ -258,17 +304,20 @@ class _Search:
         w completes a rejected t-set A exactly when A | {w} is a good
         (t+1)-set, so the first call for t walks the (t+1)-sets that may
         dominate (colex_walk, one node each) and, at each good one S,
-        counts one completer for every S - v that good rejects.  Every
+        records v as a completer of every S - v that good rejects.  Every
         good set dominates, for is_ld_mask and is_dominating alike, so
-        the walk misses none.  No set has more than n - t completers:
-        the walk stops once a count reaches that.  The sets S - v go in
-        the verdict memo, as several good S share one; each leaf is met
-        once, so good judges it directly and the memo stays small.
+        the walk misses none, and when it runs to the end its table,
+        kept as tables[t], holds the completers of every rejected t-set
+        (none if absent).  No set has more than n - t completers: the
+        walk stops once one reaches that, and its table is dropped.  The
+        sets S - v go in the verdict memo, as several good S share one;
+        each leaf is met once, so good judges it directly and the memo
+        stays small.
         """
         if t not in self.capacities:
             g, good, verdict = self.g, self.good, self.verdict
             most = g.n - t
-            counts: dict[int, int] = {}
+            table = _Completers()
 
             def admit(chosen: int, limit: int) -> bool:
                 self._tick()
@@ -281,22 +330,23 @@ class _Search:
                         low = rest & -rest
                         a = s ^ low
                         if not verdict(a):
-                            counts[a] = counts.get(a, 0) + 1
-                            if counts[a] == most:
+                            c = table[a] = table.get(a, 0) | low
+                            if c.bit_count() == most:
                                 return True
                         rest ^= low
                 return False
 
-            colex_walk(g, t + 1, admit, leaf)
-            self.capacities[t] = max(counts.values(), default=0)
+            if colex_walk(g, t + 1, admit, leaf) is None:
+                self.tables[t] = table
+            self.capacities[t] = max(map(popcount, table.values()), default=0)
         return self.capacities[t]
 
     def search_type(self, sizes: tuple[int, ...]) -> Optional[list[int]]:
         """Masks of a partition realizing the type, or None (exhausted)."""
         gamma = self.gamma
         verdict = self.verdict
-        completers = self.completers
         twins = self.twins
+        tick = self._tick
         k = len(sizes)
         singles_after = [0] * (k + 1)
         for i in range(k - 1, -1, -1):
@@ -310,61 +360,70 @@ class _Search:
                 fut[i] = fut[i + 1] + (self.capacity(sizes[i]) if big else 0)
             if fut[0] < singles_after[0]:
                 return None
+        every = (1 << k) - 1
 
         parts: list[int] = []  # placed masks
 
-        # reach: completer_reach of the placed parts, None until the
-        # capacity rule first can fail
-        def place(
-            i: int, pool: int, settled: list[bool], reach: Optional[int]
-        ) -> Optional[list[int]]:
+        # settled: bit j set once part j has an exact partner; reach:
+        # completer_reach of the placed parts, None until the capacity
+        # rule first can fail
+        def place(i: int, pool: int, settled: int, reach: Optional[int]) -> Optional[list[int]]:
             if i == k:
-                return parts[:] if all(settled) else None
+                return parts[:] if settled == every else None
             size = sizes[i]
             tied = i > 0 and sizes[i - 1] == size  # floor: parts[-1]'s low bit
             above = (parts[-1] & -parts[-1]).bit_length() if tied else 0
             free = pool >> above << above  # what this slot may take
-            avail = list(bits_of(free))
+            avail = [1 << v for v in bits_of(free)]
+            # the lower twins in free of each vertex of free that has one
+            watch = twins and {b: u for b in avail if (u := twins.get(b, 0) & free)}
+            bit = 1 << i
+            # m | rest is the pool: the new part's optimistic partner
+            pool_good = verdict(pool)
+            # the capacity rule, with fut finite (so gamma >= 3), needs
+            # this many completers in the pool after this slot
+            need = singles_after[i + 1] - fut[i + 1]
+            if need > 0:
+                if reach is None:
+                    reach = self.completer_reach(parts)
+                table = self.completer_table(size)
             for combo in combinations(avail, size):
-                m = 0
-                for v in combo:
-                    m |= 1 << v
-                if twins and any(twins[v] & free & ~m for v in combo):
+                m = sum(combo)
+                if watch and any(watch.get(b, 0) & ~m for b in combo):
                     continue
-                self._tick()
+                tick()
                 if size >= gamma and verdict(m):
                     continue
-                rest = pool & ~m
-                new_settled = settled + [False]
-                for j in range(i):
-                    if not (new_settled[j] and new_settled[i]) and verdict(
-                        parts[j] | m
-                    ):
-                        new_settled[j] = new_settled[i] = True
-                ok = True
-                for j in range(i + 1):
-                    if not new_settled[j]:
-                        base = parts[j] if j < i else m
-                        if not verdict(base | rest):
-                            ok = False
-                            break
+                rest = pool ^ m
+                now = settled
+                for j, p in enumerate(parts):
+                    both = 1 << j | bit
+                    if now & both != both and verdict(p | m):
+                        now |= both
+                # every unsettled part needs an optimistic partner
+                if not now & bit and not pool_good:
+                    continue
+                unsettled = ~now & (bit - 1)
+                while unsettled:
+                    low = unsettled & -unsettled
+                    if not verdict(parts[low.bit_length() - 1] | rest):
+                        break
+                    unsettled ^= low
+                if unsettled:
+                    continue
                 reach_i = None
-                s = singles_after[i + 1]
-                if ok and fut[i + 1] < s:
-                    # fut is finite, so gamma >= 3
-                    if reach is None:
-                        reach = self.completer_reach(parts)
-                    reach_i = reach | completers(m)
-                    ok = popcount(rest & reach_i) + fut[i + 1] >= s
-                if ok:
-                    parts.append(m)
-                    found = place(i + 1, rest, new_settled, reach_i)
-                    if found is not None:
-                        return found
-                    parts.pop()
+                if need > 0:
+                    reach_i = reach | table[m]
+                    if (rest & reach_i).bit_count() < need:
+                        continue
+                parts.append(m)
+                found = place(i + 1, rest, now, reach_i)
+                if found is not None:
+                    return found
+                parts.pop()
             return None
 
-        return place(0, self.g.full_mask(), [], None)
+        return place(0, self.g.full_mask(), 0, None)
 
     def run(
         self, counts: Iterable[int], max_partners: int

@@ -333,6 +333,29 @@ def test_capacity_bounds_every_rejected_set(g, pair):
         assert search.capacity(t) == max(counts, default=0)
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(min_n=1, max_n=8), st.sampled_from(PREDICATES))
+@example(path(12), PREDICATES[0])
+@example(cycle(12), PREDICATES[0])
+@example(path(12), PREDICATES[1])
+@example(cycle(12), PREDICATES[1])
+def test_walk_tables_hold_the_kernel_completers(g, pair):
+    # a C_max walk that runs to the end records the completers of every
+    # rejected t-set, and no other set; the search reads completers from
+    # that table, and from the kernel for sizes whose walk stopped early
+    good, completers = pair
+    search = _Search(g, good, completers, 0)  # gamma does not enter the walk
+    for t in range(1, g.n + 1):
+        search.capacity(t)
+        rejected = {m: completers(g, m) for m in colex_subsets(g.n, t) if not good(g, m)}
+        if t in search.tables:
+            assert set(search.tables[t]) <= set(rejected)
+            assert all(search.tables[t][m] == c for m, c in rejected.items())
+        assert all(search.completer_table(t)[m] == c for m, c in rejected.items())
+    if g.n >= 12:  # P_12 and C_12 finish some of their walks
+        assert search.tables
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_graphs(max_n=6), st.booleans(), st.data())
 def test_twin_rule_keeps_every_answer(g, adjacent, data):

@@ -7,7 +7,7 @@ import pytest
 from locdom import solver
 from locdom.census import enumerate_graphs, enumerate_trees
 from locdom.families import complete, cycle, path, spider
-from locdom.graph import Graph
+from locdom.graph import Graph, popcount
 from locdom.ld import is_dominating, is_ld_mask, singleton_completers
 from locdom.solver import (
     Budget,
@@ -187,6 +187,32 @@ def test_capacity_rule_refutes_before_searching():
     assert c_l_exact(path(15)).nodes_explored == 46_511
 
 
+def test_finished_walks_stand_in_for_the_completer_kernel(monkeypatch):
+    # P_14's walk for C_max(5) runs to the end, so the search reads the
+    # completers of its 5-parts from the walk's table; the walk for
+    # C_max(10) stops early, and 10-parts still ask the kernel
+    searches = []
+    asked = []
+
+    class Watched(solver._Search):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            searches.append(self)
+
+    def kernel(g, m):
+        if popcount(m) in searches[-1].tables:
+            raise AssertionError(f"kernel asked about a walked {popcount(m)}-set")
+        asked.append(popcount(m))
+        return singleton_completers(g, m)
+
+    monkeypatch.setattr(solver, "_Search", Watched)
+    monkeypatch.setattr(solver, "singleton_completers", kernel)
+    rep = c_l_exact(path(14))
+    assert (rep.c_l, rep.nodes_explored) == (5, 4_027)
+    assert sorted(searches[-1].tables) == [5]
+    assert set(asked) == {10}
+
+
 @pytest.mark.parametrize(
     "solve",
     [
@@ -286,6 +312,32 @@ def test_type_labels():
     assert type_labels((6, 5, 1, 1, 1, 1), 6, 4) == frozenset()
     assert 1 in type_labels((2, 1, 1, 1, 1, 1), 3, 4)
     assert type_labels((4, 4, 2, 2, 2, 1), 6, 4) == frozenset({1})
+
+
+def full_type_screen(sizes, gamma, max_partners):
+    # type_labels without its shortcut: every part's possible partners
+    k = len(sizes)
+    if any(all(sizes[i] + a < gamma for i in range(k) if i != j) for j, a in enumerate(sizes)):
+        return frozenset({1})
+    possible = [
+        {i for i in range(k) if i != j and sizes[i] + sizes[j] >= gamma}
+        for j in range(k)
+    ]
+    for i in range(k):
+        if sum(1 for j in range(k) if j != i and possible[j] == {i}) > max_partners:
+            return frozenset({1, 2})
+    return frozenset()
+
+
+def test_label_one_shortcut_matches_the_full_screen():
+    # label {1} is read off the largest and smallest sizes; every type of
+    # every order up to 22 gets the labels the full screen gives it
+    for n in range(1, 23):
+        for k in range(1, n + 1):
+            for sizes in partitions_of_int(n, k):
+                for gamma in range(2, n):
+                    expected = full_type_screen(sizes, gamma, 2)
+                    assert type_labels(sizes, gamma, 2) == expected, (sizes, gamma)
 
 
 def test_plain_coalition_number():

@@ -1,4 +1,5 @@
-"""Before/after timings of the LD kernels and of the census phases.
+"""Before/after timings of the LD kernels, gamma_l, the census phases and
+the C_L solver.
 
 Usage, from the repository root, with OLD a checkout of the commit to
 compare against:
@@ -10,6 +11,15 @@ Each of the ROUNDS rounds measures each side in a fresh interpreter that
 has only that side's source tree on its path; the sides alternate which
 goes first, and every figure is the median over the rounds, with its
 quartiles.
+
+The host's speed for the same work drifts by tens of percent within
+minutes, so every timing is also given in units of perfbench's reference
+slice (workloads.reference_slice, a fixed pure-Python job), run before
+each section and after the last; reference.slice_s is the round's median
+slice.  A key ending in _s (seconds) gets a twin ending in _ref, the
+seconds over that slice, and a key ns_per_X a twin uref_per_X, in
+millionths of the slice.  Compare sides by these: the raw figures carry
+the drift.
 
 Kernels: ns per call of ld.is_ld_mask and ld.singleton_completers,
 looped over one fixed list of uniformly random masks (random.Random(0),
@@ -30,6 +40,11 @@ and C_n, 3 <= n <= 18), and on prism(12), prism(14) and mobius_ladder(14)
 (24, 28 and 28 vertices), each graph a fresh object so no memo answers.
 The nodes are the colex-walk nodes the locating prune admitted, counted
 in a second, untimed pass by wrapping ld.colex_walk.
+
+Solve: ns per search node of c_l_exact on P_14, P_15 and C_15, the
+fastest of INNER solves, each on a fresh graph, over its exact
+nodes_explored (walk nodes included); kernel_calls counts the calls of
+the completer kernel, ld.singleton_completers, in a second, untimed pass.
 """
 
 from __future__ import annotations
@@ -123,7 +138,6 @@ def _gamma() -> dict:
     from locdom import ld
     from locdom.cubic import mobius_ladder, prism
 
-    sys.path.insert(0, str(PERFBENCH))
     from workloads import prepare_gamma
 
     builds = {
@@ -161,8 +175,65 @@ def _gamma() -> dict:
     return out
 
 
+def _solve() -> dict:
+    from locdom import solver
+    from locdom.families import cycle, path
+
+    builds = {"P14": lambda: path(14), "P15": lambda: path(15), "C15": lambda: cycle(15)}
+    kernel = solver.singleton_completers
+    calls = [0]
+
+    def counted(g, m):
+        calls[0] += 1
+        return kernel(g, m)
+
+    out = {}
+    for name, build in builds.items():
+        best = None
+        for _ in range(INNER):
+            g = build()
+            t0 = time.perf_counter_ns()
+            nodes = solver.c_l_exact(g).nodes_explored
+            dt = time.perf_counter_ns() - t0
+            best = dt if best is None else min(best, dt)
+        calls[0] = 0
+        solver.singleton_completers = counted
+        try:
+            solver.c_l_exact(build())
+        finally:
+            solver.singleton_completers = kernel
+        out[f"{name}.nodes"] = nodes
+        out[f"{name}.ns_per_node"] = best / nodes
+        out[f"{name}.kernel_calls"] = calls[0]
+    return out
+
+
+def _in_ref_units(section: dict, ref_s: float) -> dict:
+    """The section with each timing's twin in reference-slice units."""
+    out = {}
+    for key, value in section.items():
+        out[key] = value
+        if key.endswith("_s"):
+            out[key[:-2] + "_ref"] = value / ref_s
+        elif "ns_per_" in key:
+            out[key.replace("ns_per_", "uref_per_")] = value * 1e-3 / ref_s
+    return out
+
+
 def _measure() -> dict:
-    return {"kernels": _kernels(), "gamma": _gamma(), "census": _census()}
+    sys.path.insert(0, str(PERFBENCH))
+    from workloads import reference_slice
+
+    sections = {"kernels": _kernels, "gamma": _gamma, "census": _census, "solve": _solve}
+    slices = []
+    out = {}
+    for name, measure in sections.items():
+        slices.append(reference_slice())
+        out[name] = measure()
+    slices.append(reference_slice())
+    ref_s = statistics.median(slices)
+    out = {name: _in_ref_units(section, ref_s) for name, section in out.items()}
+    return {"reference": {"slice_s": ref_s}, **out}
 
 
 def _summary(rounds: list[dict]) -> dict:

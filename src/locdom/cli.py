@@ -20,7 +20,7 @@ from .coalition import (
     verify_ldc_partition,
 )
 from .families import parse_family_spec
-from .graph import DisconnectedGraphError, Graph, GraphFormatError, is_connected
+from .graph import Graph, GraphFormatError
 from .graphio import parse_any
 from .ld import gamma_l
 from .repro import run_claims
@@ -35,7 +35,6 @@ from .solver import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
-EXIT_DISCONNECTED = 3
 EXIT_BUDGET = 4
 
 
@@ -128,8 +127,6 @@ def _report(args, doc: dict, text: Optional[str] = None) -> None:
 
 def cmd_gamma_l(args) -> int:
     g = _load_graph(args)
-    if not is_connected(g):
-        raise DisconnectedGraphError("gamma-l requires a connected graph")
     value, witness = gamma_l(g)
     w = witness.to_sorted_list()
     text = f"gamma_l = {value}\nwitness = {{" + ", ".join(map(str, w)) + "}\n"
@@ -263,9 +260,6 @@ def main(argv: Optional[list] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except DisconnectedGraphError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DISCONNECTED
     except BudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET

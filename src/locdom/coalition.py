@@ -208,14 +208,30 @@ def coalition_graph(g: Graph, p: Partition) -> CoalitionGraph:
     return CoalitionGraph(cg, labels)
 
 
+def partner_cap(g: Graph) -> int:
+    """The most partners any part of an LDC-partition of g can have:
+    max(2 Delta, Delta + 1).
+
+    A part that does not dominate leaves some x undominated, and each of
+    its partners meets N[x], so it has at most Delta + 1 partners.  A part
+    that dominates but does not locate has u, v outside it with the same
+    trace, so N(u) and N(v) share a vertex of the part, and each of its
+    partners meets {u, v} | (N(u) ^ N(v)), at most 2 Delta vertices.  The
+    parts are disjoint, so each vertex of those sets lies in at most one
+    partner.
+    """
+    d = g.max_degree()
+    return max(2 * d, d + 1)
+
+
 def partner_count(g: Graph, p: Partition, i: int) -> int:
-    """Number of coalition partners of part i; never exceeds 2*Delta."""
+    """Number of coalition partners of part i; never exceeds partner_cap."""
     cg = coalition_graph(g, p)
     if not (0 <= i < len(p)):
         raise IndexError(f"part index {i} out of range")
-    count = cg.graph.degree(i)
-    if not 1 <= count <= 2 * g.max_degree():
-        raise AssertionError(f"part {i} has {count} partners, outside [1, 2*Delta]")
+    count, cap = cg.graph.degree(i), partner_cap(g)
+    if not 1 <= count <= cap:
+        raise AssertionError(f"part {i} has {count} partners, outside [1, {cap}]")
     return count
 
 
@@ -318,7 +334,7 @@ def build_from_domatic(g: Graph) -> LdcCertificate:
     part as non-LD.
     """
     if g.n < 3:
-        raise ValueError("K_1 and K_2 admit no LDC-partition")
+        raise ValueError("construction needs order at least 3")
     dres: DomaticResult = d_loc(g)
     k = dres.k
     if k == 1:

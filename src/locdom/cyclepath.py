@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .census import enumerate_graphs, enumerate_trees
+from .coalition import partner_cap
 from .families import cycle, path, spider
 from .graph import Graph, bits_of, closed_mask, mask_of, popcount, reachable_mask
 from .ld import gamma_l_value, is_ld_mask, singleton_completers
@@ -178,7 +179,7 @@ def type_table(n: int, family: str) -> list[TypeVector]:
     by the two elimination criteria; unlabeled rows survive to search."""
     g = _table_graph(n, family)
     gamma = gamma_l_value(g)
-    cap = 2 * g.max_degree()
+    cap = partner_cap(g)
     return [
         TypeVector(t, type_labels(t, gamma, cap))
         for t in partitions_of_int(n, 6)

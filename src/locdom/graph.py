@@ -17,7 +17,7 @@ class GraphFormatError(ValueError):
 
 
 class DisconnectedGraphError(ValueError):
-    """Raised by operations that assume a connected graph."""
+    """Raised by operations that need a connected graph: the diameter."""
 
 
 def mask_of(vertices: Iterable[int]) -> int:

@@ -14,13 +14,11 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .graph import (
-    DisconnectedGraphError,
     Graph,
     VertexSet,
     as_mask,
     bits_of,
     closed_mask,
-    is_connected,
     lower_twins,
     popcount,
 )
@@ -222,8 +220,6 @@ def gamma_l_naive(g: Graph) -> tuple[int, VertexSet]:
     Kept as the oracle the pruned search is tested against; only usable at
     small orders.
     """
-    if not is_connected(g):
-        raise DisconnectedGraphError("gamma_l assumes a connected graph")
     for k in range(slater_log_lower_bound(g.n), g.n + 1):
         for m in colex_subsets(g.n, k):
             if is_ld_mask(g, m):
@@ -328,8 +324,6 @@ def gamma_l(g: Graph) -> tuple[int, VertexSet]:
     if g._gamma_l is None:
         if g.n == 0:
             raise ValueError("gamma_l of the empty graph is undefined")
-        if not is_connected(g):
-            raise DisconnectedGraphError("gamma_l assumes a connected graph")
         for k in range(gamma_l_lower_bound(g), g.n + 1):
             hit = _colex_least_ld(g, k)
             if hit is not None:
@@ -422,8 +416,6 @@ def d_loc(g: Graph) -> DomaticResult:
     """Maximum number of parts in a partition of V into LD-sets."""
     if g.n == 0:
         raise ValueError("d_loc of the empty graph is undefined")
-    if not is_connected(g):
-        raise DisconnectedGraphError("d_loc assumes a connected graph")
     gl = gamma_l_value(g)
     for k in range(g.n // gl, 1, -1):
         classes = _domatic_partition(g, k)

@@ -32,12 +32,10 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Union
 
-from .coalition import LdcCertificate, certify_masks
+from .coalition import LdcCertificate, certify_masks, partner_cap
 from .graph import (
-    DisconnectedGraphError,
     Graph,
     bits_of,
-    is_connected,
     lower_twins,
     mask_of,
     popcount,
@@ -149,25 +147,25 @@ def type_labels(sizes: tuple[int, ...], gamma: int, max_partners: int) -> frozen
     a part forced to partner more parts than any one part may carry
     (max_partners).  Empty set: the type survives to assignment search.
 
-    With sizes descending and k >= 2 parts, the smallest part's best
-    partner is the largest, which partners every other part once it
-    partners the smallest; so label {1} holds exactly when the largest
-    and smallest sizes sum to less than gamma, and is read off at once.
+    With sizes descending, a single part has no partner, and with k >= 2
+    parts the smallest part's best partner is the largest; so label {1}
+    holds exactly when k = 1 or the largest and smallest sizes sum to
+    less than gamma.  Failing that, part 0 may partner every other part,
+    so only part 0 can be forced to carry more than one part: part j >= 1
+    is forced onto it exactly when its best other partner, part 1 for
+    j >= 2 and part 2 for j = 1, is too small.  With k = 2, parts 0 and
+    1 are each forced onto the other.
     """
-    if sizes[0] + sizes[-1] < gamma:
-        return frozenset({1})
     k = len(sizes)
-    possible = [
-        frozenset(i for i in range(k) if i != j and sizes[i] + sizes[j] >= gamma)
-        for j in range(k)
-    ]
-    if not all(possible):
+    if k == 1 or sizes[0] + sizes[-1] < gamma:
         return frozenset({1})
-    for i in range(k):
-        forced = sum(1 for j in range(k) if j != i and possible[j] == frozenset({i}))
-        if forced > max_partners:
-            return frozenset({1, 2})
-    return frozenset()
+    if k == 2:
+        forced = 1
+    else:
+        forced = (sizes[1] + sizes[2] < gamma) + sum(
+            1 for a in sizes[2:] if sizes[1] + a < gamma
+        )
+    return frozenset({1, 2}) if forced > max_partners else frozenset()
 
 
 # -- assignment search ---------------------------------------------------
@@ -197,8 +195,9 @@ class _Search:
 
     good is the predicate parts are judged by (is_ld_mask or
     is_dominating), completers its completer kernel (singleton_completers
-    or dominating_completers), and gamma >= 2 the size of the least good
-    set: every part needs a partner.
+    or dominating_completers), and gamma the size of the least good set:
+    every part needs a partner.  gamma = 1 only on K_1 and K_2, where
+    every singleton is good alone and no part is placed.
     verdict(mask) is good(g, mask) memoized: a search asks about a few
     thousand masks a million times.  capacities holds C_max by part
     size, and tables[t], for each t whose C_max walk ran to the end, the
@@ -466,16 +465,12 @@ def c_l_exact(
     workers is kept only for existing callers and has no effect: the
     search is one serial pass.
     """
-    if not is_connected(g):
-        raise DisconnectedGraphError("C_L search requires a connected graph")
-    if g.n <= 2:
-        return SolveReport("none", None, [("order", g.n)], status="none")
     start = time.monotonic()
     gamma = gamma_l_value(g)
     kmax = min(g.n, g.n - gamma + 2)
     bounds = [("gamma_l", gamma), ("upper_start", kmax)]
     search = _Search(g, is_ld_mask, singleton_completers, gamma, budget)
-    status, sizes, masks = search.run(range(kmax, 1, -1), 2 * g.max_degree())
+    status, sizes, masks = search.run(range(kmax, 1, -1), partner_cap(g))
     c_l, cert = ("none" if status == "unsat" else None), None
     if status == "sat":
         c_l = len(sizes)
@@ -524,22 +519,16 @@ def c_l_at_least(
     exactly when some level from max(k, t - 1) down to k has a partition,
     and the search tries those levels in that order.
     """
-    if not is_connected(g):
-        raise DisconnectedGraphError("C_L search requires a connected graph")
     if k < 1:
         raise ValueError("k must be at least 1")
     bounds = [("at_least", k)]
-    if g.n <= 2:  # K_1 and K_2 have no LDC-partition
-        return SolveReport(None, None, bounds, status="none")
     start = time.monotonic()
     gamma = gamma_l_value(g)
     t = 2 * g.n // gamma + 1
     # above n - gamma_l + 2 parts every type has a part with no possible
     # partner, so the screen alone refutes such a k
     search = _Search(g, is_ld_mask, singleton_completers, gamma, budget)
-    status, sizes, masks = search.run(
-        range(max(k, t - 1), k - 1, -1), 2 * g.max_degree()
-    )
+    status, sizes, masks = search.run(range(max(k, t - 1), k - 1, -1), partner_cap(g))
     cert = certify_masks(g, masks, "the C_L search") if status == "sat" else None
     return SolveReport(
         c_l=len(sizes) if cert is not None else None,
@@ -602,8 +591,6 @@ def c_l_oracle(g: Graph, good=None) -> Union[int, str]:
     singleton satisfying the predicate may also stand alone as a part;
     good=is_dominating gives the plain coalition number.
     """
-    if not is_connected(g):
-        raise DisconnectedGraphError("C_L search requires a connected graph")
     singletons_alone = good is not None
     if good is None:
         good = is_ld_mask
@@ -643,13 +630,10 @@ def plain_coalition_number(
     dominates h = g - U, as U lies in N(S); and h has no universal vertex,
     which would be universal in g too.  So the answer is |U| plus the
     search on h, where every part needs a partner: g.n when h is empty,
-    "none" when h has no partition.  h may be disconnected, which nothing
-    in the search assumes away.
+    "none" when h has no partition.  h may be disconnected, like g.
     """
     if g.n == 0:
         raise ValueError("the coalition number of the empty graph is undefined")
-    if not is_connected(g):
-        raise DisconnectedGraphError("coalition search requires a connected graph")
     keep = [v for v in range(g.n) if g.adj[v] | 1 << v != g.full_mask()]
     if not keep:
         return g.n

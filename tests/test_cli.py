@@ -298,9 +298,13 @@ def test_coalition_graph_rejects_invalid(capsys, tmp_path):
 def test_disconnected_exit_code(capsys, tmp_path):
     gfile = tmp_path / "disc.txt"
     gfile.write_text("4\n0 1\n2 3\n")
-    code, _, err = run(capsys, ["gamma-l", "--file", str(gfile)])
-    assert code == 3
-    assert "connected" in err
+    # 2K_2: a disconnected graph is solved like any other, with exit 0
+    code, out, err = run(capsys, ["gamma-l", "--file", str(gfile)])
+    assert (code, out, err) == (0, "gamma_l = 2\nwitness = {0, 2}\n", "")
+    code, out, _ = run(capsys, ["cl", "--file", str(gfile)])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["c_l"], doc["status"]) == (4, "exact")
 
 
 def test_parse_error_exit_code(capsys, monkeypatch):

@@ -23,7 +23,7 @@ from locdom.families import (
     path,
     star,
 )
-from locdom.graph import VertexSet
+from locdom.graph import Graph, VertexSet
 from locdom.ld import d_loc, is_ld_set
 
 
@@ -109,6 +109,9 @@ def test_partner_count():
     assert partner_count(g, p, 0) == 2
     with pytest.raises(IndexError):
         partner_count(g, p, 3)
+    # edgeless: Delta = 0, yet a part that leaves x undominated may
+    # partner one part, the one holding x
+    assert partner_count(Graph(3, []), Partition([[0, 1], [2]], 3), 0) == 1
 
 
 def test_max_singleton_completers():

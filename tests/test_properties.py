@@ -12,7 +12,6 @@ from locdom.graph import (
     VertexSet,
     bits_of,
     closed_mask,
-    is_connected,
     lower_twins,
     popcount,
     reachable_mask,
@@ -158,7 +157,6 @@ def test_tree_lower_bound(n, data):
 @settings(max_examples=100, deadline=None)
 @given(small_graphs(min_n=1, max_n=9))
 def test_gamma_l_lower_bound_is_sound(g):
-    assume(is_connected(g))
     value, witness = gamma_l_naive(g)
     assert gamma_l_lower_bound(g) <= value
     got_value, got_witness = gamma_l(g)
@@ -168,7 +166,6 @@ def test_gamma_l_lower_bound_is_sound(g):
 @settings(max_examples=60, deadline=None)
 @given(small_graphs(min_n=3, max_n=7))
 def test_minimalize_yields_minimal_ld_set(g):
-    assume(is_connected(g))
     s = minimalize_ld_set(g, VertexSet((1 << g.n) - 1, g.n))
     assert is_ld_set(g, s).ok
     for v in s.to_sorted_list():
@@ -280,7 +277,6 @@ def assert_incremental_prune_is_the_rescan(g):
 @settings(max_examples=200, deadline=None)
 @given(small_graphs(min_n=1, max_n=10))
 def test_incremental_locating_prune_matches_the_rescan(g):
-    assume(is_connected(g))
     assert_incremental_prune_is_the_rescan(g)
 
 
@@ -299,7 +295,6 @@ def completers_by_vertex(g, good, cands, rest):
 @settings(max_examples=150, deadline=None)
 @given(small_graphs(min_n=1, max_n=8), st.sampled_from(PREDICATES), st.data())
 def test_completer_masks_match_vertex_scan(g, pair, data):
-    assume(is_connected(g))
     good, completers = pair
     # each vertex lies in one candidate part, in the pool, or in neither
     k = data.draw(st.integers(0, 3))
@@ -368,7 +363,6 @@ def test_twin_rule_keeps_every_answer(g, adjacent, data):
         edges.append((x, y))
     perm = data.draw(st.permutations(range(g.n + 1)))
     h = Graph(g.n + 1, edges).relabeled(perm)
-    assume(is_connected(h))
     low, high = sorted((perm[x], perm[y]))
     assert lower_twins(h)[high] >> low & 1
     assert c_l_numeric(c_l_exact(h).c_l) == c_l_numeric(c_l_oracle(h))

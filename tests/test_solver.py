@@ -6,9 +6,17 @@ import pytest
 
 from locdom import solver
 from locdom.census import enumerate_graphs, enumerate_trees
+from locdom.coalition import partner_count
 from locdom.families import complete, cycle, path, spider
-from locdom.graph import Graph, popcount
-from locdom.ld import is_dominating, is_ld_mask, singleton_completers
+from locdom.graph import Graph, is_connected, popcount
+from locdom.ld import (
+    d_loc,
+    gamma_l,
+    gamma_l_naive,
+    is_dominating,
+    is_ld_mask,
+    singleton_completers,
+)
 from locdom.solver import (
     Budget,
     c_l_at_least,
@@ -25,6 +33,10 @@ def test_tiny_graphs_have_no_partition():
     assert c_l_exact(complete(1)).c_l == "none"
     assert c_l_exact(complete(2)).c_l == "none"
     assert c_l_exact(path(2)).c_l == "none"
+    # order 2 alone decides nothing: 2K_1 splits into two partners
+    assert c_l_exact(Graph(2, [])).c_l == 2
+    with pytest.raises(ValueError):
+        c_l_exact(Graph(0))
 
 
 def test_small_exact_values():
@@ -330,14 +342,17 @@ def full_type_screen(sizes, gamma, max_partners):
 
 
 def test_label_one_shortcut_matches_the_full_screen():
-    # label {1} is read off the largest and smallest sizes; every type of
-    # every order up to 22 gets the labels the full screen gives it
+    # label {1} is read off the largest and smallest sizes and label
+    # {1, 2} off the parts forced onto part 0; every type of every order
+    # up to 22 gets the labels the full screen gives it, at partner cap 2
+    # and at cap 1, the edgeless graphs' cap
     for n in range(1, 23):
         for k in range(1, n + 1):
             for sizes in partitions_of_int(n, k):
                 for gamma in range(2, n):
-                    expected = full_type_screen(sizes, gamma, 2)
-                    assert type_labels(sizes, gamma, 2) == expected, (sizes, gamma)
+                    for cap in (1, 2):
+                        expected = full_type_screen(sizes, gamma, cap)
+                        assert type_labels(sizes, gamma, cap) == expected, (sizes, gamma, cap)
 
 
 def test_plain_coalition_number():
@@ -362,6 +377,46 @@ def test_universal_vertices_never_reach_the_search():
             assert plain_coalition_number(g) == c_l_oracle(g, is_dominating), g
             checked += 1
     assert checked == 156
+
+
+def d_loc_brute_force(g):
+    # the most parts of any set partition into LD-sets
+    return max(
+        len(masks)
+        for masks in map(solver._rgs_masks, solver._set_partitions(g.n))
+        if all(is_ld_mask(g, m) for m in masks)
+    )
+
+
+def test_disconnected_graphs_match_the_oracles():
+    # the definitions cover every graph: on each disconnected graph of
+    # order <= 7 every entry point agrees with its unpruned oracle
+    checked = 0
+    for n in range(1, 8):
+        for g in enumerate_graphs(n, connected_only=False):
+            if is_connected(g):
+                continue
+            checked += 1
+            value, witness = gamma_l(g)
+            naive_value, naive_witness = gamma_l_naive(g)
+            assert (value, int(witness)) == (naive_value, int(naive_witness)), g
+            rep = c_l_exact(g)
+            expected = c_l_oracle(g)
+            assert rep.c_l == expected, g
+            if rep.certificate is not None:
+                assert rep.certificate.verify(g)
+                # partner_count checks each count against partner_cap
+                for i in range(len(rep.certificate)):
+                    partner_count(g, rep.certificate.partition, i)
+            for k in range(1, n + 2):
+                dec = c_l_at_least(g, k)
+                assert (dec.status == "exact") == (c_l_numeric(expected) >= k), (g, k)
+                if dec.certificate is not None:
+                    assert k <= dec.c_l <= expected and dec.certificate.verify(g)
+            assert plain_coalition_number(g) == c_l_oracle(g, is_dominating), g
+            if n <= 6:
+                assert d_loc(g).k == d_loc_brute_force(g), g
+    assert checked == 256
 
 
 def test_numeric_projection():

@@ -126,6 +126,61 @@ def dominating_completers(g: Graph, m: int) -> int:
     return cand
 
 
+def ld_breakers(g: Graph, m: int) -> int:
+    """-1 if m is not an LD-set, else the mask of the vertices v in m for
+    which m - v is not an LD-set.
+
+    Taking v out of an LD-set S takes v out of every outside trace and
+    gives v its own trace N(v) & S.  With T the outside traces of S, all
+    non-empty and distinct, S - v fails exactly when a trace t in T that
+    holds v becomes empty or equal to another (t - v is empty or in T),
+    or v's trace is empty or equal to a trace of S - v (it or it plus v
+    lies in T).  So one pass builds T, with the empty trace added to it.
+    """
+    adj = g.adj
+    traces = set()
+    out = g.full_mask() & ~m
+    while out:
+        low = out & -out
+        t = adj[low.bit_length() - 1] & m
+        if t == 0 or t in traces:
+            return -1
+        traces.add(t)
+        out ^= low
+    traces.add(0)
+    breakers = 0
+    for t in traces:
+        rest = t
+        while rest:
+            low = rest & -rest
+            if t ^ low in traces:
+                breakers |= low
+            rest ^= low
+    rest = m
+    while rest:
+        low = rest & -rest
+        own = adj[low.bit_length() - 1] & m
+        if own in traces or own | low in traces:
+            breakers |= low
+        rest ^= low
+    return breakers
+
+
+def dominating_breakers(g: Graph, m: int) -> int:
+    """-1 if m does not dominate, else the mask of the vertices v in m for
+    which m - v does not: those that are the only vertex of m in some
+    closed neighbourhood N[u]."""
+    adj = g.adj
+    breakers = 0
+    for u in range(g.n):
+        c = (adj[u] | 1 << u) & m
+        if not c:
+            return -1
+        if not c & (c - 1):
+            breakers |= c
+    return breakers
+
+
 @dataclass(frozen=True)
 class LdVerdict:
     """Outcome of an LD-set check with a concrete witness on failure.
@@ -236,7 +291,9 @@ def colex_walk(g: Graph, k: int, admit, leaf) -> Optional[int]:
     chosen | prefix, as then no completion dominates, or when
     admit(chosen, limit) is false.  A leaf adds nothing more, so it must
     dominate by itself: every leaf reached dominates, and walks that want
-    all of them keep leaf false.
+    all of them keep leaf false.  So the last pick must lie in N[u] for
+    every vertex u still undominated, and only those vertices below limit
+    are tried there.
     """
     full = g.full_mask()
     cadj = [g.adj[v] | 1 << v for v in range(g.n)]
@@ -247,11 +304,24 @@ def colex_walk(g: Graph, k: int, admit, leaf) -> Optional[int]:
     def descend(chosen: int, closed: int, limit: int, need: int) -> Optional[int]:
         if need == 0:
             return chosen if leaf(chosen) else None
+        if need == 1:
+            last = (1 << limit) - 1
+            missing = full & ~closed
+            while missing and last:
+                low = missing & -missing
+                last &= cadj[low.bit_length() - 1]
+                missing ^= low
+            while last:
+                low = last & -last
+                c2 = chosen | low
+                if admit(c2, low.bit_length() - 1) and leaf(c2):
+                    return c2
+                last ^= low
+            return None
         for m in range(need - 1, limit):
             c2 = chosen | (1 << m)
             closed2 = closed | cadj[m]
-            later = reach[m] if need > 1 else 0
-            if closed2 | later != full or not admit(c2, m):
+            if closed2 | reach[m] != full or not admit(c2, m):
                 continue
             hit = descend(c2, closed2, m, need - 1)
             if hit is not None:

@@ -130,7 +130,7 @@ def _gamma_closed_form(fam) -> Callable[[Optional[Budget]], object]:
 
 def _cl_values(fam) -> Callable[[Optional[Budget]], object]:
     def compute(budget: Optional[Budget]):
-        return {n: c_l_value(fam(n), budget) for n in range(3, 18)}
+        return {n: c_l_value(fam(n), budget) for n in range(3, 20)}
 
     return compute
 
@@ -270,7 +270,7 @@ def _plain_coalition_small(budget: Optional[Budget]):
 
 
 def _cl_formula_dict(formula) -> dict:
-    return {n: formula(n) for n in range(3, 18)}
+    return {n: formula(n) for n in range(3, 20)}
 
 
 CLAIMS: list[Claim] = [
@@ -288,13 +288,13 @@ CLAIMS: list[Claim] = [
     ),
     Claim(
         id="cycles-cl-values",
-        statement="C_L(C_n) solved exactly for 3 <= n <= 17 matches the closed form",
+        statement="C_L(C_n) solved exactly for 3 <= n <= 19 matches the closed form",
         expected=_cl_formula_dict(c_l_cycle_formula),
         compute=_cl_values(cycle),
     ),
     Claim(
         id="paths-cl-values",
-        statement="C_L(P_n) solved exactly for 3 <= n <= 17 matches the closed form",
+        statement="C_L(P_n) solved exactly for 3 <= n <= 19 matches the closed form",
         expected=_cl_formula_dict(c_l_path_formula),
         compute=_cl_values(path),
     ),

@@ -7,17 +7,20 @@ size with no possible partner, a part size forced to carry too many
 partners), and surviving types go to a slot-sequential assignment search
 with symmetry breaking (equal-size parts in order, twins in order) and
 incremental partner checks.  The search takes the predicate parts are
-judged by with its completer kernel: ld.is_ld_mask and
-ld.singleton_completers for C_L, ld.is_dominating and
-ld.dominating_completers for the plain coalition number, which first
+judged by with its completer and breaker kernels: ld.is_ld_mask,
+ld.singleton_completers and ld.ld_breakers for C_L, ld.is_dominating,
+ld.dominating_completers and ld.dominating_breakers for the plain
+coalition number, which first
 sets aside its only good singletons, the universal vertices: every part
 searched needs a partner.  A capacity rule counts singleton partners
 from the first slot on: parts that can partner a singleton complete at
 most C_max(size) of them, which can refute a type before it is
 searched; C_max comes from a walk over the good sets one larger, which
-also records every completer it meets, so the search reads which
-vertices complete a placed part from the walk's table (from the kernel
-only for a size whose walk stopped early).  Each solve builds one
+also records every completer it meets (one call of the predicate's
+breaker kernel per leaf), so the search reads which vertices complete a
+placed part from the walk's table (from the kernel only for a size whose
+walk stopped early), and a slot already short of completers tries only
+the parts in that table.  Each solve builds one
 _Search, which screens the types, searches the survivors and keeps the
 predicate caches, the completer tables and the node count that all of
 them share.
@@ -42,10 +45,12 @@ from .graph import (
 )
 from .ld import (
     colex_walk,
+    dominating_breakers,
     dominating_completers,
     gamma_l_value,
     is_dominating,
     is_ld_mask,
+    ld_breakers,
     singleton_completers,
 )
 
@@ -195,9 +200,11 @@ class _Search:
 
     good is the predicate parts are judged by (is_ld_mask or
     is_dominating), completers its completer kernel (singleton_completers
-    or dominating_completers), and gamma the size of the least good set:
-    every part needs a partner.  gamma = 1 only on K_1 and K_2, where
-    every singleton is good alone and no part is placed.
+    or dominating_completers), breakers its breaker kernel (ld_breakers or
+    dominating_breakers; without one, good judges each S - v), and gamma
+    the size of the least good set: every part needs a partner.  gamma = 1
+    only on K_1 and K_2, where every singleton is good alone and no part
+    is placed.
     verdict(mask) is good(g, mask) memoized: a search asks about a few
     thousand masks a million times.  capacities holds C_max by part
     size, and tables[t], for each t whose C_max walk ran to the end, the
@@ -225,7 +232,16 @@ class _Search:
     before slot 0.  This holds for any predicate.  With gamma = 2,
     singletons may partner each other: fut is infinite.  Every slot
     the rule reads was walked for fut, so reach comes from the tables,
-    except for a size whose walk stopped early.
+    except for a size whose walk stopped early.  A slot is short when
+    popcount(pool & reach) is already below its need, s - fut[i + 1]: a
+    part with no completers then fails the rule, so the slot tries only
+    the parts its size's table lists, in the order combinations() gives
+    them, and the others cost no node.  Only a size whose walk stopped
+    early, whose table is the kernel's memo, tries every combination.
+    (The need before slot 0, s - fut[0], is at most 0; it rises only at
+    a slot of size >= gamma - 1, and a placed part leaves the pool the
+    need it passed, so only such a slot is ever short.  A smaller size's
+    table is empty.)
 
     Twin rule.  A slot skips, before counting a node, every combination
     that holds v but not a lower twin u of v (see lower_twins) that the
@@ -248,6 +264,7 @@ class _Search:
         completers,
         gamma: int,
         budget: Optional[Budget] = None,
+        breakers=None,
     ):
         budget = budget or Budget()
         self.g = g
@@ -256,10 +273,18 @@ class _Search:
         self.node_cap = budget.nodes
         self.nodes = 0
         self._check_at = self._next_check()
-        self.good = good
-        self.verdict = functools.cache(lambda m: good(g, m))
+        self.verdict = verdict = functools.cache(lambda m: good(g, m))
+        if breakers is None:  # the definition, through the verdict memo
+
+            def breakers(g: Graph, m: int) -> int:
+                if not good(g, m):
+                    return -1
+                return sum(1 << v for v in bits_of(m) if not verdict(m ^ 1 << v))
+
+        self.breakers = breakers
         self.capacities: dict[int, int] = {}
         self.tables: dict[int, _Completers] = {}
+        self._listed: dict[int, tuple[list[int], list[int]]] = {}
         self._kernel = _Completers(lambda p: completers(g, p))
         self._no_completers = _Completers()
         # lower twins by vertex bit; twin-free: no check
@@ -290,6 +315,25 @@ class _Search:
             return self._no_completers
         return self.tables.get(size, self._kernel)
 
+    def parts_within(self, size: int, free: int) -> list[int]:
+        """The parts completer_table(size) holds that lie inside free, in
+        the order combinations() yields them: by their ascending vertex
+        tuples.  The table is sorted once, and holders[v] marks the
+        indices of the parts holding v, so the parts that meet the
+        complement of free are found a vertex at a time."""
+        if size not in self._listed:
+            parts = sorted(self.completer_table(size), key=lambda m: tuple(bits_of(m)))
+            holders = [0] * self.g.n
+            for j, m in enumerate(parts):
+                for v in bits_of(m):
+                    holders[v] |= 1 << j
+            self._listed[size] = (parts, holders)
+        parts, holders = self._listed[size]
+        clash = 0
+        for v in bits_of(self.g.full_mask() & ~free):
+            clash |= holders[v]
+        return [parts[j] for j in bits_of(~clash & ((1 << len(parts)) - 1))]
+
     def completer_reach(self, cands) -> int:
         """Vertices that complete some rejected part in cands to a good set."""
         reach = 0
@@ -303,18 +347,16 @@ class _Search:
         w completes a rejected t-set A exactly when A | {w} is a good
         (t+1)-set, so the first call for t walks the (t+1)-sets that may
         dominate (colex_walk, one node each) and, at each good one S,
-        records v as a completer of every S - v that good rejects.  Every
-        good set dominates, for is_ld_mask and is_dominating alike, so
-        the walk misses none, and when it runs to the end its table,
-        kept as tables[t], holds the completers of every rejected t-set
-        (none if absent).  No set has more than n - t completers: the
-        walk stops once one reaches that, and its table is dropped.  The
-        sets S - v go in the verdict memo, as several good S share one;
-        each leaf is met once, so good judges it directly and the memo
-        stays small.
+        records v as a completer of every S - v that good rejects: the
+        breakers of S, which one breaker-kernel call finds.  Every good
+        set dominates, for is_ld_mask and is_dominating alike, so the
+        walk misses none, and when it runs to the end its table, kept as
+        tables[t], holds the completers of every rejected t-set (none if
+        absent).  No set has more than n - t completers: the walk stops
+        once one reaches that, and its table is dropped.
         """
         if t not in self.capacities:
-            g, good, verdict = self.g, self.good, self.verdict
+            g, breakers = self.g, self.breakers
             most = g.n - t
             table = _Completers()
 
@@ -323,16 +365,14 @@ class _Search:
                 return True
 
             def leaf(s: int) -> bool:
-                if good(g, s):
-                    rest = s
-                    while rest:
-                        low = rest & -rest
-                        a = s ^ low
-                        if not verdict(a):
-                            c = table[a] = table.get(a, 0) | low
-                            if c.bit_count() == most:
-                                return True
-                        rest ^= low
+                rest = breakers(g, s)  # -1 if s is not good
+                while rest > 0:
+                    low = rest & -rest
+                    a = s ^ low
+                    c = table[a] = table.get(a, 0) | low
+                    if c.bit_count() == most:
+                        return True
+                    rest ^= low
                 return False
 
             if colex_walk(g, t + 1, admit, leaf) is None:
@@ -382,13 +422,19 @@ class _Search:
             # the capacity rule, with fut finite (so gamma >= 3), needs
             # this many completers in the pool after this slot
             need = singles_after[i + 1] - fut[i + 1]
+            cands = None
             if need > 0:
                 if reach is None:
                     reach = self.completer_reach(parts)
                 table = self.completer_table(size)
-            for combo in combinations(avail, size):
-                m = sum(combo)
-                if watch and any(watch.get(b, 0) & ~m for b in combo):
+                # short: only a part with completers can pass the capacity
+                # test, and a table other than the kernel's lists them all
+                if (pool & reach).bit_count() < need and table is not self._kernel:
+                    cands = self.parts_within(size, free)
+            if cands is None:
+                cands = map(sum, combinations(avail, size))
+            for m in cands:
+                if watch and any(u & ~m for b, u in watch.items() if b & m):
                     continue
                 tick()
                 if size >= gamma and verdict(m):
@@ -469,7 +515,7 @@ def c_l_exact(
     gamma = gamma_l_value(g)
     kmax = min(g.n, g.n - gamma + 2)
     bounds = [("gamma_l", gamma), ("upper_start", kmax)]
-    search = _Search(g, is_ld_mask, singleton_completers, gamma, budget)
+    search = _Search(g, is_ld_mask, singleton_completers, gamma, budget, ld_breakers)
     status, sizes, masks = search.run(range(kmax, 1, -1), partner_cap(g))
     c_l, cert = ("none" if status == "unsat" else None), None
     if status == "sat":
@@ -527,7 +573,7 @@ def c_l_at_least(
     t = 2 * g.n // gamma + 1
     # above n - gamma_l + 2 parts every type has a part with no possible
     # partner, so the screen alone refutes such a k
-    search = _Search(g, is_ld_mask, singleton_completers, gamma, budget)
+    search = _Search(g, is_ld_mask, singleton_completers, gamma, budget, ld_breakers)
     status, sizes, masks = search.run(range(max(k, t - 1), k - 1, -1), partner_cap(g))
     cert = certify_masks(g, masks, "the C_L search") if status == "sat" else None
     return SolveReport(
@@ -591,6 +637,8 @@ def c_l_oracle(g: Graph, good=None) -> Union[int, str]:
     singleton satisfying the predicate may also stand alone as a part;
     good=is_dominating gives the plain coalition number.
     """
+    if g.n == 0:
+        raise ValueError("the coalition number of the empty graph is undefined")
     singletons_alone = good is not None
     if good is None:
         good = is_ld_mask
@@ -642,7 +690,7 @@ def plain_coalition_number(
     h = Graph(len(keep), edges)
     gamma = _domination_number(h)
     kmax = h.n - gamma + 2  # at most h.n: no universal vertex, so gamma >= 2
-    search = _Search(h, is_dominating, dominating_completers, gamma, budget)
+    search = _Search(h, is_dominating, dominating_completers, gamma, budget, dominating_breakers)
     status, sizes, masks = search.run(range(kmax, 1, -1), h.max_degree() + 1)
     if status == "budget":
         raise BudgetExceeded(

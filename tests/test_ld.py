@@ -20,6 +20,7 @@ from locdom import ld
 from locdom.graph import Graph, VertexSet, mask_of
 from locdom.ld import (
     d_loc,
+    dominating_breakers,
     gamma_l,
     gamma_l_lower_bound,
     gamma_l_naive,
@@ -28,6 +29,7 @@ from locdom.ld import (
     is_ld_mask,
     is_ld_set,
     is_locating,
+    ld_breakers,
     minimalize_ld_set,
     slater_log_lower_bound,
     slater_upper_check,
@@ -223,6 +225,30 @@ def test_ld_mask_fast_path_agrees_with_verdict():
     g = complete_bipartite(2, 3)
     for m in range(1 << g.n):
         assert is_ld_mask(g, m) == is_ld_set(g, m).ok
+
+
+def breakers_by_definition(g, good):
+    """Each mask's breakers as the kernels define them: -1 if good rejects
+    m, else the v in m for which good rejects m - v."""
+    verdicts = [good(g, m) for m in range(1 << g.n)]
+    return [
+        sum(1 << v for v in range(g.n) if m >> v & 1 and not verdicts[m ^ 1 << v])
+        if verdicts[m]
+        else -1
+        for m in range(1 << g.n)
+    ]
+
+
+def test_breaker_kernels_match_the_definition_on_every_graph_of_order_7():
+    # every mask of every graph of order <= 7, disconnected ones included
+    checked = 0
+    for n in range(1, 8):
+        for g in enumerate_graphs(n, connected_only=False):
+            for good, kernel in ((is_ld_mask, ld_breakers), (is_dominating, dominating_breakers)):
+                expected = breakers_by_definition(g, good)
+                assert [kernel(g, m) for m in range(1 << n)] == expected, (g, good)
+            checked += 1
+    assert checked == 1 + 2 + 4 + 11 + 34 + 156 + 1044
 
 
 def test_spider_gamma_values():

@@ -21,6 +21,7 @@ from locdom.ld import (
     colex_subsets,
     colex_walk,
     d_loc,
+    dominating_breakers,
     dominating_completers,
     gamma_l,
     gamma_l_lower_bound,
@@ -29,6 +30,7 @@ from locdom.ld import (
     is_dominating,
     is_ld_mask,
     is_ld_set,
+    ld_breakers,
     minimalize_ld_set,
     singleton_completers,
 )
@@ -349,6 +351,41 @@ def test_walk_tables_hold_the_kernel_completers(g, pair):
         assert all(search.completer_table(t)[m] == c for m, c in rejected.items())
     if g.n >= 12:  # P_12 and C_12 finish some of their walks
         assert search.tables
+
+
+# each predicate with its breaker kernel, as the solvers pair them
+BREAKERS = [
+    (is_ld_mask, singleton_completers, ld_breakers),
+    (is_dominating, dominating_completers, dominating_breakers),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(min_n=1, max_n=8), st.sampled_from(BREAKERS))
+def test_breaker_kernels_match_the_definition(g, kernels):
+    # -1 on a rejected mask; else the v in m for which good rejects m - v
+    good, _, breakers = kernels
+    for m in range(1 << g.n):
+        expected = -1
+        if good(g, m):
+            expected = sum(1 << v for v in bits_of(m) if not good(g, m ^ 1 << v))
+        assert breakers(g, m) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(min_n=1, max_n=8), st.sampled_from(BREAKERS))
+@example(path(12), BREAKERS[0])
+@example(cycle(12), BREAKERS[1])
+def test_breaker_walks_keep_the_walk_tables(g, kernels):
+    # the walk's one breaker-kernel call per leaf finds what judging each
+    # S - v found: the same C_max, the same tables and the same nodes
+    good, completers, breakers = kernels
+    fast = _Search(g, good, completers, 0, breakers=breakers)
+    plain = _Search(g, good, completers, 0)
+    for t in range(1, g.n + 1):
+        assert fast.capacity(t) == plain.capacity(t)
+    assert fast.tables == plain.tables
+    assert fast.nodes == plain.nodes
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import time
 
@@ -15,6 +16,7 @@ from locdom.ld import (
     gamma_l_naive,
     is_dominating,
     is_ld_mask,
+    ld_breakers,
     singleton_completers,
 )
 from locdom.solver import (
@@ -37,6 +39,8 @@ def test_tiny_graphs_have_no_partition():
     assert c_l_exact(Graph(2, [])).c_l == 2
     with pytest.raises(ValueError):
         c_l_exact(Graph(0))
+    with pytest.raises(ValueError, match="empty graph"):
+        c_l_oracle(Graph(0))
 
 
 def test_small_exact_values():
@@ -96,9 +100,9 @@ def test_workers_keyword_never_forks(monkeypatch):
 
 
 def test_node_budget_holds_across_types():
-    # each search of P_15's type is unsat after 17,870 nodes, and the
+    # each search of P_15's type is unsat after 13,379 nodes, and the
     # first one first walks 1,183 nodes for C_max(6); no one search
-    # reaches a 50,000-node cap, but the third one overruns it by one
+    # reaches a 50,000-node cap, but the fourth one overruns it by one
     search = solver._Search(
         path(15), is_ld_mask, singleton_completers, 6, Budget(nodes=50_000)
     )
@@ -120,11 +124,11 @@ def test_search_judges_each_mask_once(monkeypatch):
 
     monkeypatch.setattr(solver, "is_ld_mask", counted)
     rep = c_l_exact(path(12))
-    assert (rep.c_l, rep.nodes_explored) == (5, 1_062)
+    assert (rep.c_l, rep.nodes_explored) == (5, 509)
     assert calls < 5000
-    assert c_l_exact(cycle(12)).nodes_explored == 285
+    assert c_l_exact(cycle(12)).nodes_explored == 210
     rep = c_l_exact(cycle(15))
-    assert (rep.c_l, rep.nodes_explored) == (5, 119_385)
+    assert (rep.c_l, rep.nodes_explored) == (5, 96_075)
 
 
 def test_certificates_are_frozen_on_the_census():
@@ -142,20 +146,21 @@ def test_certificates_are_frozen_on_the_census():
 
 def test_twin_rule_prunes_leaves_on_one_support_vertex():
     # 2, 3 and 4 are leaves on vertex 0, so twins; the twin rule cuts the
-    # search from 11,172 nodes to 4,332 and leaves the certificate alone
+    # search from 10,782 nodes to 4,150 and leaves the certificate alone
     edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (5, 7), (5, 8), (7, 9)]
     doc = c_l_exact(Graph(10, edges)).to_json_dict()
     assert doc["c_l"] == 3
     assert doc["parts"] == [[0, 1, 2, 3, 4, 5, 6, 8], [7], [9]]
-    assert doc["nodes_explored"] == 4_332
+    assert doc["nodes_explored"] == 4_150
 
 
 def test_budget_exhaustion():
-    # P_18 settles k = 6 only after 1.9M nodes
-    rep = c_l_exact(path(18), budget=Budget(seconds=0.05))
+    # P_20 settles k = 6 only after 13.8M nodes, about 24 s on a 2-core
+    # VM (P_18, 31,491 nodes, now takes under 0.1 s)
+    rep = c_l_exact(path(20), budget=Budget(seconds=0.05))
     assert rep.status == "inconclusive"
     assert rep.c_l is None
-    rep = c_l_at_least(path(18), 6, budget=Budget(seconds=0.05))
+    rep = c_l_at_least(path(20), 6, budget=Budget(seconds=0.05))
     assert rep.status == "inconclusive"
     assert rep.nodes_explored > 0
 
@@ -196,7 +201,32 @@ def test_capacity_rule_refutes_before_searching():
     assert walk.capacity(6) == 2
     assert search.nodes == walk.nodes == 938
     # every count includes the walks
-    assert c_l_exact(path(15)).nodes_explored == 46_511
+    assert c_l_exact(path(15)).nodes_explored == 29_258
+
+
+def test_parts_below_gamma_minus_one_cost_no_node():
+    # a part of size below gamma - 1 has no completers, so its table is
+    # empty and a slot of that size short of completers would try no
+    # part; P_15's type (4, 4, 4, 1, 1, 1), gamma_l 6, has only such
+    # parts besides its singletons and is refuted with no node and no walk
+    search = solver._Search(path(15), is_ld_mask, singleton_completers, 6, breakers=ld_breakers)
+    assert search.parts_within(4, path(15).full_mask()) == []
+    assert search.search_type((4, 4, 4, 1, 1, 1)) is None
+    assert (search.nodes, search.capacities) == (0, {})
+
+
+def test_short_slots_draw_parts_in_combination_order():
+    # P_14's walk for C_max(5) runs to the end; a 5-slot short of
+    # completers tries the table's parts inside its free vertices, in the
+    # order combinations() would reach them
+    search = solver._Search(path(14), is_ld_mask, singleton_completers, 6, breakers=ld_breakers)
+    search.capacity(5)
+    table = search.tables[5]
+    assert len(table) > 1
+    for free in (path(14).full_mask(), 0b10110111011101, 0b11111110000000, 0):
+        avail = [v for v in range(14) if free >> v & 1]
+        combos = [sum(1 << v for v in c) for c in itertools.combinations(avail, 5)]
+        assert search.parts_within(5, free) == [m for m in combos if m in table]
 
 
 def test_finished_walks_stand_in_for_the_completer_kernel(monkeypatch):
@@ -220,7 +250,7 @@ def test_finished_walks_stand_in_for_the_completer_kernel(monkeypatch):
     monkeypatch.setattr(solver, "_Search", Watched)
     monkeypatch.setattr(solver, "singleton_completers", kernel)
     rep = c_l_exact(path(14))
-    assert (rep.c_l, rep.nodes_explored) == (5, 4_027)
+    assert (rep.c_l, rep.nodes_explored) == (5, 1_063)
     assert sorted(searches[-1].tables) == [5]
     assert set(asked) == {10}
 

@@ -41,8 +41,8 @@ and C_n, 3 <= n <= 18), and on prism(12), prism(14) and mobius_ladder(14)
 The nodes are the colex-walk nodes the locating prune admitted, counted
 in a second, untimed pass by wrapping ld.colex_walk.
 
-Solve: ns per search node of c_l_exact on P_14, P_15 and C_15, the
-fastest of INNER solves, each on a fresh graph, over its exact
+Solve: ns per search node of c_l_exact on P_14, P_15, C_15, P_18 and
+C_18, the fastest of INNER solves, each on a fresh graph, over its exact
 nodes_explored (walk nodes included); kernel_calls counts the calls of
 the completer kernel, ld.singleton_completers, in a second, untimed pass.
 """
@@ -179,7 +179,13 @@ def _solve() -> dict:
     from locdom import solver
     from locdom.families import cycle, path
 
-    builds = {"P14": lambda: path(14), "P15": lambda: path(15), "C15": lambda: cycle(15)}
+    builds = {
+        "P14": lambda: path(14),
+        "P15": lambda: path(15),
+        "C15": lambda: cycle(15),
+        "P18": lambda: path(18),
+        "C18": lambda: cycle(18),
+    }
     kernel = solver.singleton_completers
     calls = [0]
 

@@ -10,6 +10,7 @@ their one-pass completer masks and the pruned colex walk.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -22,6 +23,18 @@ from .graph import (
     lower_twins,
     popcount,
 )
+
+
+class BudgetExceeded(RuntimeError):
+    """Search ran out of wall-clock or node budget before an answer."""
+
+    def __init__(self, message: str, nodes_explored: int = 0):
+        super().__init__(message)
+        self.nodes_explored = nodes_explored
+
+
+# A budgeted search checks its deadline every _CHECK_EVERY nodes.
+_CHECK_EVERY = 256
 
 
 # -- predicates ----------------------------------------------------------
@@ -331,8 +344,10 @@ def colex_walk(g: Graph, k: int, admit, leaf) -> Optional[int]:
     return descend(0, 0, g.n, k)
 
 
-def _colex_least_ld(g: Graph, k: int) -> Optional[int]:
+def _colex_least_ld(g: Graph, k: int, deadline: Optional[float] = None) -> Optional[int]:
     """Colex-least LD-set of size k, or None if no size-k LD-set exists.
+    Past deadline, a time.monotonic() value checked every _CHECK_EVERY
+    nodes, it raises BudgetExceeded.
 
     Beyond colex_walk's domination test, prunes a node (chosen, limit) at
     which two decided vertices, outside chosen with no neighbour below
@@ -373,10 +388,21 @@ def _colex_least_ld(g: Graph, k: int) -> Optional[int]:
             new ^= 1 << v
         return True
 
-    return colex_walk(g, k, locatable, lambda m: is_ld_mask(g, m))
+    admit = locatable
+    if deadline is not None:
+        nodes = 0
+
+        def admit(chosen: int, limit: int) -> bool:
+            nonlocal nodes
+            nodes += 1
+            if nodes % _CHECK_EVERY == 0 and time.monotonic() > deadline:
+                raise BudgetExceeded("time budget exceeded in the gamma_l search")
+            return locatable(chosen, limit)
+
+    return colex_walk(g, k, admit, lambda m: is_ld_mask(g, m))
 
 
-def gamma_l(g: Graph) -> tuple[int, VertexSet]:
+def gamma_l(g: Graph, deadline: Optional[float] = None) -> tuple[int, VertexSet]:
     """Exact locating-domination number with its colex-least witness.
 
     Iterates cardinalities upward from gamma_l_lower_bound(g), the size
@@ -390,12 +416,15 @@ def gamma_l(g: Graph) -> tuple[int, VertexSet]:
     object, and d_loc and c_l_exact through gamma_l_value, reuse them
     without a search.  An equal but distinct Graph searches again.  Each
     call returns a fresh VertexSet.
+
+    deadline, a time.monotonic() value, bounds the search: past it,
+    BudgetExceeded is raised and nothing is memoized.
     """
     if g._gamma_l is None:
         if g.n == 0:
             raise ValueError("gamma_l of the empty graph is undefined")
         for k in range(gamma_l_lower_bound(g), g.n + 1):
-            hit = _colex_least_ld(g, k)
+            hit = _colex_least_ld(g, k, deadline)
             if hit is not None:
                 g._gamma_l = (k, hit)
                 break
@@ -405,8 +434,8 @@ def gamma_l(g: Graph) -> tuple[int, VertexSet]:
     return k, VertexSet(hit, g.n)
 
 
-def gamma_l_value(g: Graph) -> int:
-    return gamma_l(g)[0]
+def gamma_l_value(g: Graph, deadline: Optional[float] = None) -> int:
+    return gamma_l(g, deadline)[0]
 
 
 # -- minimal LD-sets -----------------------------------------------------

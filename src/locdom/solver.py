@@ -17,10 +17,13 @@ from the first slot on: parts that can partner a singleton complete at
 most C_max(size) of them, which can refute a type before it is
 searched; C_max comes from a walk over the good sets one larger, which
 also records every completer it meets (one call of the predicate's
-breaker kernel per leaf), so the search reads which vertices complete a
-placed part from the walk's table (from the kernel only for a size whose
-walk stopped early), and a slot already short of completers tries only
-the parts in that table.  Each solve builds one
+breaker kernel per leaf) and stops at the first leaf that shows
+C_max(t) reaching its ceiling n - t: the colex-first superset of a
+t-set that every outside vertex completes.  The search reads which vertices
+complete a placed part from the walk's table (from the kernel only for
+a size whose walk stopped early), and a slot already short of
+completers tries only the parts in that table.  Only the part-size
+types that pass the first label are generated.  Each solve builds one
 _Search, which screens the types, searches the survivors and keeps the
 predicate caches, the completer tables and the node count that all of
 them share.
@@ -44,6 +47,8 @@ from .graph import (
     popcount,
 )
 from .ld import (
+    _CHECK_EVERY,
+    BudgetExceeded,
     colex_walk,
     dominating_breakers,
     dominating_completers,
@@ -55,14 +60,6 @@ from .ld import (
 )
 
 SCHEMA_VERSION = 1
-
-
-class BudgetExceeded(RuntimeError):
-    """Search ran out of wall-clock or node budget before an answer."""
-
-    def __init__(self, message: str, nodes_explored: int = 0):
-        super().__init__(message)
-        self.nodes_explored = nodes_explored
 
 
 @dataclass(frozen=True)
@@ -124,23 +121,35 @@ def c_l_numeric(value: Union[int, str, None]) -> int:
     return int(value)
 
 
-def partitions_of_int(n: int, k: int) -> Iterator[tuple[int, ...]]:
+def partitions_of_int(n: int, k: int, pair_sum: int = 0) -> Iterator[tuple[int, ...]]:
     """Partitions of n into exactly k positive parts, each tuple
-    descending, enumerated largest-first."""
-    if k <= 0 or k > n:
+    descending, enumerated largest-first.
+
+    With pair_sum, only those in which every part sums to at least
+    pair_sum with some other part: the types that pass type_labels'
+    label {1} for gamma = pair_sum, in the same order.  The smallest
+    part's best partner is the largest, so after the largest part a the
+    others are drawn from [max(1, pair_sum - a), a], and k = 1 has none.
+    """
+    if k <= 0 or k > n or (k == 1 and pair_sum > 0):
+        return
+    if k == 1:
+        yield (n,)
         return
 
-    def rec(remaining: int, slots: int, cap: int):
+    def rec(remaining: int, slots: int, cap: int, floor: int):
         if slots == 1:
-            if remaining <= cap:
+            if floor <= remaining <= cap:
                 yield (remaining,)
             return
-        lo = -(-remaining // slots)  # ceil keeps parts descending
-        for first in range(min(cap, remaining - slots + 1), lo - 1, -1):
-            for rest in rec(remaining - first, slots - 1, first):
+        lo = max(floor, -(-remaining // slots))  # ceil keeps parts descending
+        for first in range(min(cap, remaining - (slots - 1) * floor), lo - 1, -1):
+            for rest in rec(remaining - first, slots - 1, first, floor):
                 yield (first,) + rest
 
-    yield from rec(n, k, n)
+    for largest in range(n - k + 1, -(-n // k) - 1, -1):
+        for rest in rec(n - largest, k - 1, largest, max(1, pair_sum - largest)):
+            yield (largest,) + rest
 
 
 def type_labels(sizes: tuple[int, ...], gamma: int, max_partners: int) -> frozenset:
@@ -174,9 +183,6 @@ def type_labels(sizes: tuple[int, ...], gamma: int, max_partners: int) -> frozen
 
 
 # -- assignment search ---------------------------------------------------
-
-# The deadline is checked every _CHECK_EVERY nodes and at every type screened.
-_CHECK_EVERY = 256
 
 
 class _Completers(dict):
@@ -273,6 +279,7 @@ class _Search:
         self.node_cap = budget.nodes
         self.nodes = 0
         self._check_at = self._next_check()
+        self.good = good
         self.verdict = verdict = functools.cache(lambda m: good(g, m))
         if breakers is None:  # the definition, through the verdict memo
 
@@ -352,12 +359,25 @@ class _Search:
         set dominates, for is_ld_mask and is_dominating alike, so the
         walk misses none, and when it runs to the end its table, kept as
         tables[t], holds the completers of every rejected t-set (none if
-        absent).  No set has more than n - t completers: the walk stops
-        once one reaches that, and its table is dropped.
+        absent).
+
+        No set has more than n - t completers, and a witness, a rejected
+        A that every w outside completes, attains it: the walk stops at
+        the first leaf that reveals one, and its table is dropped.  At a
+        good leaf S, each breaker v below min(V - S) gives A = S - v,
+        and A is a witness iff good(A | w) for every w outside S (A | v
+        is S).  This finds every witness, and as early as any rule can:
+        if A is one, every A | w is good, so A | min(V - A) is a good
+        leaf, reached since good sets dominate, and there v = min(V - A)
+        is a breaker below min(V - S).  Such a v makes S the colex-first
+        superset of A.  So the walk stops iff a witness exists, at the
+        colex-least A | min(V - A) of any witness, never later than at
+        the last superset of one, where its count was first complete.
+        C_max and every kept table are those of the full walk.
         """
         if t not in self.capacities:
-            g, breakers = self.g, self.breakers
-            most = g.n - t
+            g, good, breakers = self.g, self.good, self.breakers
+            full = g.full_mask()
             table = _Completers()
 
             def admit(chosen: int, limit: int) -> bool:
@@ -366,12 +386,24 @@ class _Search:
 
             def leaf(s: int) -> bool:
                 rest = breakers(g, s)  # -1 if s is not good
-                while rest > 0:
+                if rest <= 0:
+                    return False
+                out = full & ~s
+                first = rest & (out & -out) - 1  # the v below min(V - S), all if S = V
+                while first:
+                    low = first & -first
+                    a = s ^ low
+                    ws = out
+                    while ws and good(g, a | ws & -ws):
+                        ws &= ws - 1
+                    if not ws:
+                        table[a] = full & ~a
+                        return True
+                    first ^= low
+                while rest:
                     low = rest & -rest
                     a = s ^ low
-                    c = table[a] = table.get(a, 0) | low
-                    if c.bit_count() == most:
-                        return True
+                    table[a] = table.get(a, 0) | low
                     rest ^= low
                 return False
 
@@ -475,7 +507,8 @@ class _Search:
     ) -> tuple[str, Optional[tuple[int, ...]], Optional[list[int]]]:
         """Search, for each part count k in counts in turn, the k-part
         types that type_labels (with max_partners) does not refute; the
-        first satisfiable type wins.
+        first satisfiable type wins.  Only the types that pass label {1}
+        are generated, so type_labels screens label {1, 2} alone.
 
         Returns (status, deciding type, masks or None).  The deciding type
         is the satisfiable one, or for status "budget" the one that ran out
@@ -484,7 +517,7 @@ class _Search:
         a conclusive count settles the same answer.
         """
         for k in counts:
-            for sizes in partitions_of_int(self.g.n, k):
+            for sizes in partitions_of_int(self.g.n, k, self.gamma):
                 if self.deadline is not None and time.monotonic() > self.deadline:
                     return ("budget", sizes, None)
                 if type_labels(sizes, self.gamma, max_partners):
@@ -501,6 +534,15 @@ class _Search:
 _REPORT_STATUS = {"sat": "exact", "unsat": "none", "budget": "inconclusive"}
 
 
+def _budgeted_gamma_l(g: Graph, budget: Optional[Budget]) -> Optional[int]:
+    """gamma_l(g), or None if the budget's deadline passes during its
+    search.  Without a deadline the search runs unchecked."""
+    try:
+        return gamma_l_value(g, budget and budget.deadline)
+    except BudgetExceeded:
+        return None
+
+
 def c_l_exact(
     g: Graph,
     budget: Optional[Budget] = None,
@@ -509,10 +551,14 @@ def c_l_exact(
     """Exact C_L with certificate; "none" when no LDC-partition exists.
 
     workers is kept only for existing callers and has no effect: the
-    search is one serial pass.
+    search is one serial pass.  The budget's deadline covers the gamma_l
+    search too; if it passes there, the report is "inconclusive" with no
+    bounds and no nodes.
     """
     start = time.monotonic()
-    gamma = gamma_l_value(g)
+    gamma = _budgeted_gamma_l(g, budget)
+    if gamma is None:
+        return SolveReport(None, None, elapsed=time.monotonic() - start, status="inconclusive")
     kmax = min(g.n, g.n - gamma + 2)
     bounds = [("gamma_l", gamma), ("upper_start", kmax)]
     search = _Search(g, is_ld_mask, singleton_completers, gamma, budget, ld_breakers)
@@ -551,7 +597,7 @@ def c_l_at_least(
 
     Status "exact" carries a certificate and c_l, its part count, which is
     at least k; "none" is exhaustive: C_L < k; "inconclusive" means the
-    budget ran out first.
+    budget ran out first, in the gamma_l search or in the C_L search.
 
     Having a j-part partition is not monotone in j (P_3 and C_5 have none
     with 2 parts, yet C_L(P_3) = 3 and C_L(C_5) = 5), but it is above
@@ -569,7 +615,9 @@ def c_l_at_least(
         raise ValueError("k must be at least 1")
     bounds = [("at_least", k)]
     start = time.monotonic()
-    gamma = gamma_l_value(g)
+    gamma = _budgeted_gamma_l(g, budget)
+    if gamma is None:
+        return SolveReport(None, None, bounds, elapsed=time.monotonic() - start, status="inconclusive")
     t = 2 * g.n // gamma + 1
     # above n - gamma_l + 2 parts every type has a part with no possible
     # partner, so the screen alone refutes such a k

@@ -121,9 +121,9 @@ def test_gamma_l_searches_only_from_the_bound(monkeypatch):
     calls = []
     search = ld._colex_least_ld
 
-    def counted(g, k):
+    def counted(g, k, deadline=None):
         calls.append(k)
-        return search(g, k)
+        return search(g, k, deadline)
 
     monkeypatch.setattr(ld, "_colex_least_ld", counted)
     for g in (path(30), cycle(30)):
@@ -136,9 +136,9 @@ def test_gamma_l_is_memoized_on_the_graph_object(monkeypatch):
     calls = []
     search = ld._colex_least_ld
 
-    def counted(g, k):
+    def counted(g, k, deadline=None):
         calls.append(k)
-        return search(g, k)
+        return search(g, k, deadline)
 
     monkeypatch.setattr(ld, "_colex_least_ld", counted)
     g = cycle(9)

@@ -1,10 +1,11 @@
 import math
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from locdom import ld
+from locdom import ld, solver
 from locdom.canon import canonical_key, tree_canonical_key
 from locdom.families import cycle, path, spider
 from locdom.graph import (
@@ -386,6 +387,69 @@ def test_breaker_walks_keep_the_walk_tables(g, kernels):
         assert fast.capacity(t) == plain.capacity(t)
     assert fast.tables == plain.tables
     assert fast.nodes == plain.nodes
+
+
+def accumulation_walk(g, good, breakers, t):
+    """C_max(t) by the walk that stops only once some t-set's completer
+    count reaches n - t: (C_max, its table if the walk ran to the end,
+    walk nodes, the leaf it stopped at or None)."""
+    table = {}
+    nodes = 0
+
+    def admit(chosen, limit):
+        nonlocal nodes
+        nodes += 1
+        return True
+
+    def leaf(s):
+        rest = breakers(g, s)
+        for v in bits_of(rest) if rest > 0 else ():
+            a = s ^ 1 << v
+            table[a] = table.get(a, 0) | 1 << v
+            if popcount(table[a]) == g.n - t:
+                return True
+        return False
+
+    stop = colex_walk(g, t + 1, admit, leaf)
+    best = max(map(popcount, table.values()), default=0)
+    return best, (table if stop is None else None), nodes, stop
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(min_n=1, max_n=8), st.sampled_from(BREAKERS))
+@example(path(12), BREAKERS[0])
+@example(cycle(13), BREAKERS[0])
+@example(path(12), BREAKERS[1])
+@example(spider(3, 3, 3), BREAKERS[1])
+def test_witness_stop_keeps_the_walk_and_stops_first(g, kernels):
+    # the walk that tests each rejected t-set at its colex-first superset
+    # finds the C_max and tables of the walk that waits for a full count,
+    # never takes more nodes, and stops exactly at the colex-least
+    # A | min(V - A) over the witnesses A (rejected t-sets that every
+    # outside vertex completes); colex order on t-sets is mask order
+    good, completers, breakers = kernels
+    search = _Search(g, good, completers, 0, breakers=breakers)
+    stops = []
+
+    def spy(*args):
+        stops.append(colex_walk(*args))
+        return stops[-1]
+
+    full = g.full_mask()
+    for t in range(1, g.n + 1):
+        best, table, nodes, _ = accumulation_walk(g, good, breakers, t)
+        before = search.nodes
+        with mock.patch.object(solver, "colex_walk", spy):
+            assert search.capacity(t) == best
+        assert search.nodes - before <= nodes
+        assert search.tables.get(t) == table
+        witnesses = [
+            a
+            for a in colex_subsets(g.n, t)
+            if not good(g, a) and all(good(g, a | 1 << w) for w in bits_of(full & ~a))
+        ]
+        # ~a & (a + 1) is the lowest bit outside a
+        assert stops[-1] == min((a | ~a & (a + 1) for a in witnesses), default=None)
 
 
 @settings(max_examples=60, deadline=None)

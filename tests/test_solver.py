@@ -8,6 +8,7 @@ import pytest
 from locdom import solver
 from locdom.census import enumerate_graphs, enumerate_trees
 from locdom.coalition import partner_count
+from locdom.cubic import prism
 from locdom.families import complete, cycle, path, spider
 from locdom.graph import Graph, is_connected, popcount
 from locdom.ld import (
@@ -82,7 +83,7 @@ def test_workers_and_rotation_flag():
     # solved from the graph alone, whatever the no-op workers keyword says
     assert c_l_exact(path(8), workers=2).c_l == 5
     rep = c_l_exact(cycle(10))
-    assert (rep.c_l, rep.nodes_explored) == (5, 209)
+    assert (rep.c_l, rep.nodes_explored) == (5, 78)
     assert c_l_exact(spider(3, 2, 2)).c_l == 5
     assert c_l_at_least(cycle(6), 5).status == "exact"
 
@@ -124,11 +125,11 @@ def test_search_judges_each_mask_once(monkeypatch):
 
     monkeypatch.setattr(solver, "is_ld_mask", counted)
     rep = c_l_exact(path(12))
-    assert (rep.c_l, rep.nodes_explored) == (5, 509)
+    assert (rep.c_l, rep.nodes_explored) == (5, 326)
     assert calls < 5000
     assert c_l_exact(cycle(12)).nodes_explored == 210
     rep = c_l_exact(cycle(15))
-    assert (rep.c_l, rep.nodes_explored) == (5, 96_075)
+    assert (rep.c_l, rep.nodes_explored) == (5, 95_569)
 
 
 def test_certificates_are_frozen_on_the_census():
@@ -146,12 +147,12 @@ def test_certificates_are_frozen_on_the_census():
 
 def test_twin_rule_prunes_leaves_on_one_support_vertex():
     # 2, 3 and 4 are leaves on vertex 0, so twins; the twin rule cuts the
-    # search from 10,782 nodes to 4,150 and leaves the certificate alone
+    # search from 10,765 nodes to 4,133 and leaves the certificate alone
     edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (5, 7), (5, 8), (7, 9)]
     doc = c_l_exact(Graph(10, edges)).to_json_dict()
     assert doc["c_l"] == 3
     assert doc["parts"] == [[0, 1, 2, 3, 4, 5, 6, 8], [7], [9]]
-    assert doc["nodes_explored"] == 4_150
+    assert doc["nodes_explored"] == 4_133
 
 
 def test_budget_exhaustion():
@@ -201,7 +202,7 @@ def test_capacity_rule_refutes_before_searching():
     assert walk.capacity(6) == 2
     assert search.nodes == walk.nodes == 938
     # every count includes the walks
-    assert c_l_exact(path(15)).nodes_explored == 29_258
+    assert c_l_exact(path(15)).nodes_explored == 28_852
 
 
 def test_parts_below_gamma_minus_one_cost_no_node():
@@ -250,7 +251,7 @@ def test_finished_walks_stand_in_for_the_completer_kernel(monkeypatch):
     monkeypatch.setattr(solver, "_Search", Watched)
     monkeypatch.setattr(solver, "singleton_completers", kernel)
     rep = c_l_exact(path(14))
-    assert (rep.c_l, rep.nodes_explored) == (5, 1_063)
+    assert (rep.c_l, rep.nodes_explored) == (5, 744)
     assert sorted(searches[-1].tables) == [5]
     assert set(asked) == {10}
 
@@ -287,6 +288,33 @@ def test_budget_fixes_its_deadline_when_made():
     rep = c_l_exact(path(18), budget=budget)
     assert (rep.status, rep.nodes_explored) == ("inconclusive", 0)
     assert rep.bounds_used[-1] == ("refuted_down_to", 13)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda g, budget: c_l_exact(g, budget=budget),
+        lambda g, budget: c_l_at_least(g, 5, budget=budget),
+    ],
+    ids=["exact", "at-least-5"],
+)
+def test_time_budget_covers_the_gamma_l_search(solve):
+    # gamma_l(prism(15)) takes seconds of colex search, all before the
+    # C_L search's first node; the deadline stops it there, and the
+    # partial search leaves no memo behind
+    g = prism(15)
+    start = time.monotonic()
+    rep = solve(g, Budget(seconds=0.1))
+    assert time.monotonic() - start < 1
+    assert (rep.status, rep.c_l, rep.nodes_explored) == ("inconclusive", None, 0)
+    assert g._gamma_l is None
+    with pytest.raises(solver.BudgetExceeded):
+        gamma_l(g, deadline=time.monotonic())
+    assert g._gamma_l is None
+    # a search that finishes in time memoizes as before
+    h = prism(6)
+    assert gamma_l(h, deadline=time.monotonic() + 60)[0] == gamma_l(prism(6))[0]
+    assert h._gamma_l is not None
 
 
 def test_type_screen_keeps_the_deadline():
@@ -383,6 +411,18 @@ def test_label_one_shortcut_matches_the_full_screen():
                     for cap in (1, 2):
                         expected = full_type_screen(sizes, gamma, cap)
                         assert type_labels(sizes, gamma, cap) == expected, (sizes, gamma, cap)
+
+
+def test_label_one_generator_matches_the_screen():
+    # partitions_of_int with pair_sum = gamma yields exactly the types
+    # that pass label {1}, in the order the unfiltered enumeration
+    # reaches them, for every order up to 22, gamma and part count
+    for n in range(1, 23):
+        for k in range(1, n + 1):
+            every = list(partitions_of_int(n, k))
+            for gamma in range(1, n + 1):
+                expected = [t for t in every if 1 not in type_labels(t, gamma, n)]
+                assert list(partitions_of_int(n, k, gamma)) == expected, (n, k, gamma)
 
 
 def test_plain_coalition_number():

@@ -45,6 +45,14 @@ Solve: ns per search node of c_l_exact on P_14, P_15, C_15, P_18 and
 C_18, the fastest of INNER solves, each on a fresh graph, over its exact
 nodes_explored (walk nodes included); kernel_calls counts the calls of
 the completer kernel, ld.singleton_completers, in a second, untimed pass.
+
+Solve-deep: seconds per c_l_exact solve, the fastest of DEEP_INNER, on the
+benchmark's solve-deep graphs P_12, C_12, P_13, C_13 and P_14 (seed 0,
+unrelabelled), and their sum.  Compare sides by time per solve, not per
+node: where a change removes walk nodes, the nodes left cost more each.
+walk_nodes counts the ticks of the C_max walks and early_walks the walks
+that stopped before the end (their size gets no table), both in a
+second, untimed pass that wraps solver._Search.capacity.
 """
 
 from __future__ import annotations
@@ -65,6 +73,7 @@ TREE10 = [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (2, 6), (6, 7), (3, 8), (8, 9)
 MASKS = 20_000
 ROUNDS = 7
 INNER = 3  # the fastest of INNER passes over the masks counts
+DEEP_INNER = 15  # solve-deep solves take about a millisecond each
 
 
 def _kernels() -> dict:
@@ -108,9 +117,9 @@ def _census() -> dict:
             walk["s"] += clock() - t0
             walk["nodes"] += self.nodes - n0
 
-    def counted(g, k):
+    def counted(g, k, *deadline):
         searches[0] += 1
-        return colex_least_ld(g, k)
+        return colex_least_ld(g, k, *deadline)
 
     solver._Search.capacity = timed_capacity
     ld._colex_least_ld = counted
@@ -214,6 +223,55 @@ def _solve() -> dict:
     return out
 
 
+def _solve_deep() -> dict:
+    from locdom import solver
+    from locdom.families import cycle, path
+
+    builds = {
+        "P12": lambda: path(12),
+        "C12": lambda: cycle(12),
+        "P13": lambda: path(13),
+        "C13": lambda: cycle(13),
+        "P14": lambda: path(14),
+    }
+    capacity = solver._Search.capacity
+    walks = {"nodes": 0, "early": 0}
+
+    def counted_capacity(self, t):
+        if t in self.capacities:
+            return capacity(self, t)
+        n0 = self.nodes
+        try:
+            return capacity(self, t)
+        finally:
+            walks["nodes"] += self.nodes - n0
+            walks["early"] += t not in self.tables
+
+    out = {}
+    total = 0.0
+    for name, build in builds.items():
+        best = None
+        for _ in range(DEEP_INNER):
+            g = build()
+            t0 = time.perf_counter()
+            nodes = solver.c_l_exact(g).nodes_explored
+            dt = time.perf_counter() - t0
+            best = dt if best is None else min(best, dt)
+        total += best
+        walks.update(nodes=0, early=0)
+        solver._Search.capacity = counted_capacity
+        try:
+            solver.c_l_exact(build())
+        finally:
+            solver._Search.capacity = capacity
+        out[f"{name}.solve_s"] = best
+        out[f"{name}.nodes"] = nodes
+        out[f"{name}.walk_nodes"] = walks["nodes"]
+        out[f"{name}.early_walks"] = walks["early"]
+    out["total.solve_s"] = total
+    return out
+
+
 def _in_ref_units(section: dict, ref_s: float) -> dict:
     """The section with each timing's twin in reference-slice units."""
     out = {}
@@ -230,7 +288,13 @@ def _measure() -> dict:
     sys.path.insert(0, str(PERFBENCH))
     from workloads import reference_slice
 
-    sections = {"kernels": _kernels, "gamma": _gamma, "census": _census, "solve": _solve}
+    sections = {
+        "kernels": _kernels,
+        "gamma": _gamma,
+        "census": _census,
+        "solve": _solve,
+        "solve_deep": _solve_deep,
+    }
     slices = []
     out = {}
     for name, measure in sections.items():

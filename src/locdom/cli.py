@@ -42,7 +42,8 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--family",
         help="family spec like cycle:12, path:7, complete:4, star:5, "
-        "complete_bipartite:2,3, spider:3,2,2, k4_minus_e, h_graph, c5_plus_e",
+        "complete_bipartite:2,3, spider:3,2,2, prism:5, mobius:4, gp:5,2, "
+        "k4_minus_e, h_graph, c5_plus_e",
     )
     p.add_argument(
         "--file",

@@ -8,49 +8,13 @@ from itertools import combinations, permutations
 from typing import Optional
 
 from .coalition import LdcCertificate, Partition, partner_count, verify_ldc_partition
-from .families import complete, complete_bipartite
+from .families import complete, complete_bipartite, generalized_petersen, mobius_ladder, prism
 from .graph import Graph, VertexSet, bits_of, is_connected, mask_of
 from .ld import is_dominating, is_ld_mask, singleton_completers
 
 
 def is_cubic(g: Graph) -> bool:
     return all(g.degree(v) == 3 for v in g.vertices())
-
-
-def prism(k: int) -> Graph:
-    """Circular ladder: two k-cycles joined by a perfect matching."""
-    if k < 3:
-        raise ValueError("prism needs k >= 3")
-    edges = []
-    for i in range(k):
-        edges.append((i, (i + 1) % k))
-        edges.append((k + i, k + (i + 1) % k))
-        edges.append((i, k + i))
-    return Graph(2 * k, edges, name=f"prism_{k}")
-
-
-def mobius_ladder(k: int) -> Graph:
-    """Cycle on 2k vertices plus all antipodal chords."""
-    if k < 3:
-        raise ValueError("mobius ladder needs k >= 3")
-    n = 2 * k
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    edges += [(i, i + k) for i in range(k)]
-    return Graph(n, edges, name=f"mobius_{n}")
-
-
-def generalized_petersen(n: int, k: int) -> Graph:
-    """Outer n-cycle, spokes, and an inner cycle with step k."""
-    if n < 3 or not (1 <= k < n) or 2 * k == n:
-        raise ValueError(
-            f"generalized Petersen graph needs n >= 3, 1 <= k <= n - 1 and 2k != n; got n={n}, k={k}"
-        )
-    edges = []
-    for i in range(n):
-        edges.append((i, (i + 1) % n))
-        edges.append((i, n + i))
-        edges.append((n + i, n + (i + k) % n))
-    return Graph(2 * n, edges, name=f"GP({n},{k})")
 
 
 def petersen() -> Graph:

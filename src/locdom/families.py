@@ -73,6 +73,42 @@ def spider(l1: int, l2: int, l3: int) -> Graph:
     return Graph(nxt, edges, name=f"spider({l1},{l2},{l3})")
 
 
+def prism(k: int) -> Graph:
+    """Circular ladder: two k-cycles joined by a perfect matching."""
+    if k < 3:
+        raise ValueError("prism needs k >= 3")
+    edges = []
+    for i in range(k):
+        edges.append((i, (i + 1) % k))
+        edges.append((k + i, k + (i + 1) % k))
+        edges.append((i, k + i))
+    return Graph(2 * k, edges, name=f"prism_{k}")
+
+
+def mobius_ladder(k: int) -> Graph:
+    """Cycle on 2k vertices plus all antipodal chords."""
+    if k < 3:
+        raise ValueError("mobius ladder needs k >= 3")
+    n = 2 * k
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(i, i + k) for i in range(k)]
+    return Graph(n, edges, name=f"mobius_{n}")
+
+
+def generalized_petersen(n: int, k: int) -> Graph:
+    """Outer n-cycle, spokes, and an inner cycle with step k."""
+    if n < 3 or not (1 <= k < n) or 2 * k == n:
+        raise ValueError(
+            f"generalized Petersen graph needs n >= 3, 1 <= k <= n - 1 and 2k != n; got n={n}, k={k}"
+        )
+    edges = []
+    for i in range(n):
+        edges.append((i, (i + 1) % n))
+        edges.append((i, n + i))
+        edges.append((n + i, n + (i + k) % n))
+    return Graph(2 * n, edges, name=f"GP({n},{k})")
+
+
 _FIXED = {
     "k4_minus_e": k4_minus_e,
     "h_graph": h_graph,
@@ -86,6 +122,9 @@ _PARAMETRIC = {
     "star": (star, 1),
     "complete_bipartite": (complete_bipartite, 2),
     "spider": (spider, 3),
+    "prism": (prism, 1),
+    "mobius": (mobius_ladder, 1),
+    "gp": (generalized_petersen, 2),
 }
 
 
@@ -104,7 +143,8 @@ def generate(family: str, *params: int) -> Graph:
 
 
 def parse_family_spec(spec: str) -> Graph:
-    """Parse the one-line mini-syntax name:params, e.g. cycle:12 or spider:3,2,2."""
+    """Parse the one-line mini-syntax name:params, e.g. cycle:12,
+    spider:3,2,2 or gp:5,2."""
     name, _, rest = spec.partition(":")
     name = name.strip().lower().replace("-", "_")
     if rest.strip():

@@ -5,7 +5,9 @@ non-empty trace N(v) & S and all those traces are pairwise distinct.  The
 module computes the locating-domination number gamma_l and the
 location-domatic number d_loc exactly, at the small orders this project
 targets, and holds what the C_L solver shares with them: the predicates,
-their one-pass completer masks and the pruned colex walk.
+their completer masks (the domination filter, then the predicate on each
+vertex it passes), their one-pass breaker masks and the pruned colex
+walk.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .graph import (
     bits_of,
     closed_mask,
     lower_twins,
-    popcount,
 )
 
 
@@ -70,65 +71,6 @@ def is_ld_mask(g: Graph, m: int) -> bool:
     return True
 
 
-def singleton_completers(g: Graph, m: int) -> int:
-    """Mask of the vertices w outside m for which m | {w} is an LD-set.
-
-    Adding w gives trace {w} to each vertex that m leaves undominated and
-    adjacent to w, so w must lie in N[u] for all of them, and at most one
-    may stay outside: U = {a, b} needs w in U (so a ~ b), and three or
-    more undominated vertices admit no w at all.  One pass then groups
-    the dominated outside vertices by their trace N(v) & m.  Adding w
-    keeps the classes apart and splits each into the members adjacent to
-    w and the rest, so w completes m iff no class keeps two vertices
-    together: a class {a, b} needs w in it or adjacent to exactly one of
-    a and b, a class {a, b, c} needs w in it and adjacent to exactly one
-    of the other two, and larger classes admit no w.
-    """
-    adj = g.adj
-    out = g.full_mask() & ~m
-    undominated = out & ~closed_mask(g, m)
-    if popcount(undominated) > 2:
-        return 0
-    cand = out
-    rest = undominated
-    while rest:
-        low = rest & -rest
-        cand &= adj[low.bit_length() - 1] | low
-        rest ^= low
-    if popcount(undominated) == 2:
-        cand &= undominated
-    if not cand:
-        return 0
-    first: dict[int, int] = {}  # trace -> the bit of its least vertex
-    shared: dict[int, int] = {}  # trace -> its class, if two or more share it
-    rest = out & ~undominated
-    while rest:
-        low = rest & -rest
-        t = adj[low.bit_length() - 1] & m
-        u = first.setdefault(t, low)
-        if u != low:
-            shared[t] = shared.get(t, u) | low
-        rest ^= low
-    for cls in shared.values():
-        size = popcount(cls)
-        if size == 2:
-            low = cls & -cls
-            na = adj[low.bit_length() - 1]
-            nb = adj[(cls ^ low).bit_length() - 1]
-            cand &= cls | (na ^ nb)
-        elif size == 3:
-            rest = cls
-            while rest:
-                low = rest & -rest
-                if popcount(adj[low.bit_length() - 1] & cls) != 1:
-                    cand &= ~low
-                rest ^= low
-            cand &= cls
-        else:
-            return 0
-    return cand
-
-
 def dominating_completers(g: Graph, m: int) -> int:
     """Mask of the vertices w outside m for which m | {w} dominates: those
     in N[u] for every vertex u that m leaves undominated."""
@@ -137,6 +79,25 @@ def dominating_completers(g: Graph, m: int) -> int:
     for u in bits_of(full & ~closed_mask(g, m)):
         cand &= g.adj[u] | 1 << u
     return cand
+
+
+def completers(g: Graph, m: int, good) -> int:
+    """Mask of the vertices w outside m with good(g, m | {w}), for a
+    predicate whose good sets all dominate (is_ld_mask, is_dominating):
+    only the w that dominating_completers passes are judged."""
+    cand = dominating_completers(g, m)
+    rest = cand
+    while rest:
+        low = rest & -rest
+        if not good(g, m | low):
+            cand ^= low
+        rest ^= low
+    return cand
+
+
+def singleton_completers(g: Graph, m: int) -> int:
+    """Mask of the vertices w outside m for which m | {w} is an LD-set."""
+    return completers(g, m, is_ld_mask)
 
 
 def ld_breakers(g: Graph, m: int) -> int:

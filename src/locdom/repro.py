@@ -123,7 +123,8 @@ def _plain(obj):
 
 def _gamma_closed_form(fam) -> Callable[[Optional[Budget]], object]:
     def compute(budget: Optional[Budget]):
-        return {n: gamma_l_value(fam(n)) for n in range(3, 31)}
+        deadline = budget and budget.deadline
+        return {n: gamma_l_value(fam(n), deadline) for n in range(3, 31)}
 
     return compute
 
@@ -191,21 +192,23 @@ def _census_extremal(budget: Optional[Budget]):
 
 def _census_order5_gamma2(budget: Optional[Budget]):
     gs = enumerate_graphs(5, connected_only=True)
+    deadline = budget and budget.deadline
     return {
         "order5_connected": len(gs),
-        "gamma2_count": sum(1 for g in gs if gamma_l_value(g) == 2),
+        "gamma2_count": sum(1 for g in gs if gamma_l_value(g, deadline) == 2),
     }
 
 
 def _census_slater(budget: Optional[Budget]):
     checked = {}
     ok = True
+    deadline = budget and budget.deadline
     for n in range(2, 7):
         gs = enumerate_graphs(n, connected_only=True)
         checked[n] = len(gs)
         lo = slater_log_lower_bound(n)
         for g in gs:
-            gl = gamma_l_value(g)
+            gl = gamma_l_value(g, deadline)
             if not (lo <= gl <= n - 1):
                 ok = False
             if (gl == n - 1) != (is_star(g) or is_complete(g)):
@@ -440,7 +443,8 @@ def run_claims(
     """Run the selected claims in registry order, comparing live values
     against the frozen expectations; a claim that exhausts the budget is
     inconclusive rather than failed.  Every solve gets the same budget, so
-    its seconds cover the whole run and its node cap each solve."""
+    its seconds cover the whole run and its node cap each solve; the
+    claims that only compute gamma_l pass its deadline to gamma_l."""
     deadline = budget.deadline if budget else None
     t0 = time.monotonic()
     results = []

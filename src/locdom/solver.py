@@ -7,26 +7,25 @@ size with no possible partner, a part size forced to carry too many
 partners), and surviving types go to a slot-sequential assignment search
 with symmetry breaking (equal-size parts in order, twins in order) and
 incremental partner checks.  The search takes the predicate parts are
-judged by with its completer and breaker kernels: ld.is_ld_mask,
-ld.singleton_completers and ld.ld_breakers for C_L, ld.is_dominating,
-ld.dominating_completers and ld.dominating_breakers for the plain
-coalition number, which first
-sets aside its only good singletons, the universal vertices: every part
-searched needs a partner.  A capacity rule counts singleton partners
-from the first slot on: parts that can partner a singleton complete at
-most C_max(size) of them, which can refute a type before it is
-searched; C_max comes from a walk over the good sets one larger, which
-also records every completer it meets (one call of the predicate's
-breaker kernel per leaf) and stops at the first leaf that shows
-C_max(t) reaching its ceiling n - t: the colex-first superset of a
-t-set that every outside vertex completes.  The search reads which vertices
-complete a placed part from the walk's table (from the kernel only for
-a size whose walk stopped early), and a slot already short of
-completers tries only the parts in that table.  Only the part-size
-types that pass the first label are generated.  Each solve builds one
-_Search, which screens the types, searches the survivors and keeps the
-predicate caches, the completer tables and the node count that all of
-them share.
+judged by with its breaker kernel: ld.is_ld_mask and ld.ld_breakers for
+C_L, ld.is_dominating and ld.dominating_breakers for the plain coalition
+number, which first sets aside its only good singletons, the universal
+vertices: every part searched needs a partner.  A capacity rule counts
+singleton partners from the first slot on: parts that can partner a
+singleton complete at most C_max(size) of them, which can refute a type
+before it is searched; C_max comes from a walk over the good sets one
+larger, which also records every completer it meets (one call of the
+predicate's breaker kernel per leaf) and stops at the first leaf that
+shows C_max(t) reaching its ceiling n - t: the colex-first superset of
+a t-set that every outside vertex completes.  The search reads which
+vertices complete a placed part from the walk's table; only for a size
+whose walk stopped early does it judge them, by ld.completers: the
+domination filter, then the predicate on each vertex that passes.  A
+slot already short of completers tries only the parts in the walk's
+table.  Only the part-size types that pass the first label are
+generated.  Each solve builds one _Search, which screens the types,
+searches the survivors and keeps the predicate caches, the completer
+tables and the node count that all of them share.
 """
 
 from __future__ import annotations
@@ -50,13 +49,12 @@ from .ld import (
     _CHECK_EVERY,
     BudgetExceeded,
     colex_walk,
+    completers,
     dominating_breakers,
-    dominating_completers,
     gamma_l_value,
     is_dominating,
     is_ld_mask,
     ld_breakers,
-    singleton_completers,
 )
 
 SCHEMA_VERSION = 1
@@ -187,7 +185,8 @@ def type_labels(sizes: tuple[int, ...], gamma: int, max_partners: int) -> frozen
 
 class _Completers(dict):
     """Completer masks of rejected parts, keyed by part.  A missing part
-    is filled in by fill, the completer kernel, or without one has none."""
+    is filled in by fill, ld.completers under the search's predicate, or
+    without one has none."""
 
     def __init__(self, fill=None):
         super().__init__()
@@ -205,20 +204,18 @@ class _Search:
     types that survive type_labels, with the caches all its types share.
 
     good is the predicate parts are judged by (is_ld_mask or
-    is_dominating), completers its completer kernel (singleton_completers
-    or dominating_completers), breakers its breaker kernel (ld_breakers or
-    dominating_breakers; without one, good judges each S - v), and gamma
-    the size of the least good set: every part needs a partner.  gamma = 1
-    only on K_1 and K_2, where every singleton is good alone and no part
-    is placed.
+    is_dominating), breakers its breaker kernel (ld_breakers or
+    dominating_breakers), and gamma the size of the least good set: every
+    part needs a partner.  gamma = 1 only on K_1 and K_2, where every
+    singleton is good alone and no part is placed.
     verdict(mask) is good(g, mask) memoized: a search asks about a few
     thousand masks a million times.  capacities holds C_max by part
     size, and tables[t], for each t whose C_max walk ran to the end, the
     completer mask (every w outside the part p with good(p | {w})) of
-    each rejected t-set, read off that walk.  Other sizes ask the kernel,
-    memoized.  All fill lazily, as Graph allows n up to 128.  nodes
-    counts search nodes and walk nodes alike, and the budget's node cap
-    bounds that one count.
+    each rejected t-set, read off that walk.  Other sizes judge each
+    part's completers by ld.completers under good, memoized.  All fill
+    lazily, as Graph allows n up to 128.  nodes counts search nodes and
+    walk nodes alike, and the budget's node cap bounds that one count.
 
     Slots are filled in size-descending order with lexicographic
     combinations from the remaining pool; equal-size slots keep their
@@ -243,7 +240,8 @@ class _Search:
     part with no completers then fails the rule, so the slot tries only
     the parts its size's table lists, in the order combinations() gives
     them, and the others cost no node.  Only a size whose walk stopped
-    early, whose table is the kernel's memo, tries every combination.
+    early, whose table is the ld.completers memo, tries every
+    combination.
     (The need before slot 0, s - fut[0], is at most 0; it rises only at
     a slot of size >= gamma - 1, and a placed part leaves the pool the
     need it passed, so only such a slot is ever short.  A smaller size's
@@ -263,15 +261,7 @@ class _Search:
     coalition number are unchanged; only the node count falls.
     """
 
-    def __init__(
-        self,
-        g: Graph,
-        good,
-        completers,
-        gamma: int,
-        budget: Optional[Budget] = None,
-        breakers=None,
-    ):
+    def __init__(self, g: Graph, good, breakers, gamma: int, budget: Optional[Budget] = None):
         budget = budget or Budget()
         self.g = g
         self.gamma = gamma
@@ -280,19 +270,12 @@ class _Search:
         self.nodes = 0
         self._check_at = self._next_check()
         self.good = good
-        self.verdict = verdict = functools.cache(lambda m: good(g, m))
-        if breakers is None:  # the definition, through the verdict memo
-
-            def breakers(g: Graph, m: int) -> int:
-                if not good(g, m):
-                    return -1
-                return sum(1 << v for v in bits_of(m) if not verdict(m ^ 1 << v))
-
+        self.verdict = functools.cache(lambda m: good(g, m))
         self.breakers = breakers
         self.capacities: dict[int, int] = {}
         self.tables: dict[int, _Completers] = {}
         self._listed: dict[int, tuple[list[int], list[int]]] = {}
-        self._kernel = _Completers(lambda p: completers(g, p))
+        self._judged = _Completers(lambda p: completers(g, p, good))
         self._no_completers = _Completers()
         # lower twins by vertex bit; twin-free: no check
         self.twins = {1 << v: t for v, t in enumerate(lower_twins(g)) if t} or None
@@ -317,10 +300,11 @@ class _Search:
 
     def completer_table(self, size: int) -> _Completers:
         """Completer masks of the rejected parts of one size: the walk's
-        table, none at all below gamma - 1, or else the kernel's."""
+        table, none at all below gamma - 1, or else those judged by
+        ld.completers."""
         if size + 1 < self.gamma:
             return self._no_completers
-        return self.tables.get(size, self._kernel)
+        return self.tables.get(size, self._judged)
 
     def parts_within(self, size: int, free: int) -> list[int]:
         """The parts completer_table(size) holds that lie inside free, in
@@ -460,8 +444,8 @@ class _Search:
                     reach = self.completer_reach(parts)
                 table = self.completer_table(size)
                 # short: only a part with completers can pass the capacity
-                # test, and a table other than the kernel's lists them all
-                if (pool & reach).bit_count() < need and table is not self._kernel:
+                # test, and a table other than the judged one lists them all
+                if (pool & reach).bit_count() < need and table is not self._judged:
                     cands = self.parts_within(size, free)
             if cands is None:
                 cands = map(sum, combinations(avail, size))
@@ -561,7 +545,7 @@ def c_l_exact(
         return SolveReport(None, None, elapsed=time.monotonic() - start, status="inconclusive")
     kmax = min(g.n, g.n - gamma + 2)
     bounds = [("gamma_l", gamma), ("upper_start", kmax)]
-    search = _Search(g, is_ld_mask, singleton_completers, gamma, budget, ld_breakers)
+    search = _Search(g, is_ld_mask, ld_breakers, gamma, budget)
     status, sizes, masks = search.run(range(kmax, 1, -1), partner_cap(g))
     c_l, cert = ("none" if status == "unsat" else None), None
     if status == "sat":
@@ -621,7 +605,7 @@ def c_l_at_least(
     t = 2 * g.n // gamma + 1
     # above n - gamma_l + 2 parts every type has a part with no possible
     # partner, so the screen alone refutes such a k
-    search = _Search(g, is_ld_mask, singleton_completers, gamma, budget, ld_breakers)
+    search = _Search(g, is_ld_mask, ld_breakers, gamma, budget)
     status, sizes, masks = search.run(range(max(k, t - 1), k - 1, -1), partner_cap(g))
     cert = certify_masks(g, masks, "the C_L search") if status == "sat" else None
     return SolveReport(
@@ -738,7 +722,7 @@ def plain_coalition_number(
     h = Graph(len(keep), edges)
     gamma = _domination_number(h)
     kmax = h.n - gamma + 2  # at most h.n: no universal vertex, so gamma >= 2
-    search = _Search(h, is_dominating, dominating_completers, gamma, budget, dominating_breakers)
+    search = _Search(h, is_dominating, dominating_breakers, gamma, budget)
     status, sizes, masks = search.run(range(kmax, 1, -1), h.max_degree() + 1)
     if status == "budget":
         raise BudgetExceeded(

@@ -23,6 +23,11 @@ def test_gamma_l_text(capsys):
     assert err == ""
 
 
+def test_gamma_l_on_a_cubic_family(capsys):
+    code, out, err = run(capsys, ["gamma-l", "--family", "prism:5"])
+    assert (code, out, err) == (0, "gamma_l = 4\nwitness = {0, 2, 5, 7}\n", "")
+
+
 def test_gamma_l_json(capsys):
     code, out, _ = run(capsys, ["gamma-l", "--family", "complete:4", "--json"])
     assert code == 0

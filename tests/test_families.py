@@ -1,10 +1,12 @@
 import pytest
 
+from locdom.cubic import is_cubic, petersen
 from locdom.families import (
     c5_plus_e,
     complete,
     complete_bipartite,
     cycle,
+    generalized_petersen,
     generate,
     h_graph,
     k4_minus_e,
@@ -77,3 +79,18 @@ def test_parse_family_spec():
         parse_family_spec("cycle:two")
     with pytest.raises(ValueError):
         parse_family_spec("path:0")
+
+
+def test_parse_cubic_family_specs():
+    # the cubic families keep the names the sharpness claim freezes
+    assert parse_family_spec("gp:5,2") == petersen()
+    assert parse_family_spec("gp:6,2") == generalized_petersen(6, 2)
+    assert parse_family_spec("prism:3").name == "prism_3"
+    assert parse_family_spec("mobius:4").name == "mobius_8"
+    for spec, n in (("prism:15", 30), ("mobius:4", 8), ("gp:10,3", 20)):
+        g = parse_family_spec(spec)
+        assert g.n == n and is_cubic(g)
+    with pytest.raises(ValueError):
+        parse_family_spec("gp:5")
+    with pytest.raises(ValueError):
+        parse_family_spec("prism:2")

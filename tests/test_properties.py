@@ -177,8 +177,11 @@ def test_minimalize_yields_minimal_ld_set(g):
             assert not is_ld_set(g, smaller).ok
 
 
-# each predicate with its completer kernel, as the solvers pair them
-PREDICATES = [(is_ld_mask, singleton_completers), (is_dominating, dominating_completers)]
+# each predicate with its completer and breaker kernels
+PREDICATES = [
+    (is_ld_mask, singleton_completers, ld_breakers),
+    (is_dominating, dominating_completers, dominating_breakers),
+]
 
 
 def completer_mask_by_vertex(g, good, m):
@@ -189,11 +192,15 @@ def completer_mask_by_vertex(g, good, m):
 
 @settings(max_examples=150, deadline=None)
 @given(small_graphs(min_n=1, max_n=8), st.sampled_from(PREDICATES))
-def test_completer_kernels_match_vertex_scan_on_every_mask(g, pair):
-    good, completers = pair
-    # every mask, so good ones, the empty set and V itself too
+@example(path(12), PREDICATES[0])
+@example(cycle(12), PREDICATES[0])
+def test_completer_kernels_match_vertex_scan_on_every_mask(g, kernels):
+    # the predicate's kernel and ld.completers under the predicate, which
+    # the search judges early-stopped sizes by, on every mask: good ones,
+    # the empty set and V itself too
+    good, kernel, _ = kernels
     for m in range(1 << g.n):
-        assert completers(g, m) == completer_mask_by_vertex(g, good, m)
+        assert kernel(g, m) == ld.completers(g, m, good) == completer_mask_by_vertex(g, good, m)
 
 
 @settings(max_examples=150, deadline=None)
@@ -297,15 +304,15 @@ def completers_by_vertex(g, good, cands, rest):
 
 @settings(max_examples=150, deadline=None)
 @given(small_graphs(min_n=1, max_n=8), st.sampled_from(PREDICATES), st.data())
-def test_completer_masks_match_vertex_scan(g, pair, data):
-    good, completers = pair
+def test_completer_masks_match_vertex_scan(g, kernels, data):
+    good, _, breakers = kernels
     # each vertex lies in one candidate part, in the pool, or in neither
     k = data.draw(st.integers(0, 3))
     where = data.draw(st.lists(st.integers(-1, k), min_size=g.n, max_size=g.n))
     cands = [sum(1 << v for v in range(g.n) if where[v] == j) for j in range(k)]
     cands = [p for p in cands if p]
     rest = sum(1 << v for v in range(g.n) if where[v] == k)
-    search = _Search(g, good, completers, 0)  # gamma does not enter the caches
+    search = _Search(g, good, breakers, 0)  # gamma does not enter the caches
     # twice: the second count reads the caches the first one filled
     for _ in range(2):
         count = popcount(rest & search.completer_reach(cands))
@@ -317,11 +324,11 @@ def test_completer_masks_match_vertex_scan(g, pair, data):
 @example(path(12), PREDICATES[0])
 @example(cycle(12), PREDICATES[0])
 @example(spider(3, 3, 3), PREDICATES[1])
-def test_capacity_bounds_every_rejected_set(g, pair):
+def test_capacity_bounds_every_rejected_set(g, kernels):
     # C_max(t) is the most completers of any rejected t-set: it bounds
     # every one of them, and some rejected t-set attains it (0 if none)
-    good, completers = pair
-    search = _Search(g, good, completers, 0)  # gamma does not enter C_max
+    good, _, breakers = kernels
+    search = _Search(g, good, breakers, 0)  # gamma does not enter C_max
     for t in range(1, g.n + 1):
         counts = [
             popcount(completer_mask_by_vertex(g, good, m))
@@ -337,12 +344,12 @@ def test_capacity_bounds_every_rejected_set(g, pair):
 @example(cycle(12), PREDICATES[0])
 @example(path(12), PREDICATES[1])
 @example(cycle(12), PREDICATES[1])
-def test_walk_tables_hold_the_kernel_completers(g, pair):
+def test_walk_tables_hold_the_kernel_completers(g, kernels):
     # a C_max walk that runs to the end records the completers of every
     # rejected t-set, and no other set; the search reads completers from
-    # that table, and from the kernel for sizes whose walk stopped early
-    good, completers = pair
-    search = _Search(g, good, completers, 0)  # gamma does not enter the walk
+    # that table, and judges them for sizes whose walk stopped early
+    good, completers, breakers = kernels
+    search = _Search(g, good, breakers, 0)  # gamma does not enter the walk
     for t in range(1, g.n + 1):
         search.capacity(t)
         rejected = {m: completers(g, m) for m in colex_subsets(g.n, t) if not good(g, m)}
@@ -354,35 +361,37 @@ def test_walk_tables_hold_the_kernel_completers(g, pair):
         assert search.tables
 
 
-# each predicate with its breaker kernel, as the solvers pair them
-BREAKERS = [
-    (is_ld_mask, singleton_completers, ld_breakers),
-    (is_dominating, dominating_completers, dominating_breakers),
-]
+def breakers_by_definition(good):
+    """The breaker kernel of good by its definition: -1 on a rejected
+    mask, else the v in m for which good rejects m - v."""
+
+    def breakers(g, m):
+        if not good(g, m):
+            return -1
+        return sum(1 << v for v in bits_of(m) if not good(g, m ^ 1 << v))
+
+    return breakers
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_graphs(min_n=1, max_n=8), st.sampled_from(BREAKERS))
+@given(small_graphs(min_n=1, max_n=8), st.sampled_from(PREDICATES))
 def test_breaker_kernels_match_the_definition(g, kernels):
-    # -1 on a rejected mask; else the v in m for which good rejects m - v
     good, _, breakers = kernels
+    by_definition = breakers_by_definition(good)
     for m in range(1 << g.n):
-        expected = -1
-        if good(g, m):
-            expected = sum(1 << v for v in bits_of(m) if not good(g, m ^ 1 << v))
-        assert breakers(g, m) == expected
+        assert breakers(g, m) == by_definition(g, m)
 
 
 @settings(max_examples=100, deadline=None)
-@given(small_graphs(min_n=1, max_n=8), st.sampled_from(BREAKERS))
-@example(path(12), BREAKERS[0])
-@example(cycle(12), BREAKERS[1])
+@given(small_graphs(min_n=1, max_n=8), st.sampled_from(PREDICATES))
+@example(path(12), PREDICATES[0])
+@example(cycle(12), PREDICATES[1])
 def test_breaker_walks_keep_the_walk_tables(g, kernels):
     # the walk's one breaker-kernel call per leaf finds what judging each
     # S - v found: the same C_max, the same tables and the same nodes
-    good, completers, breakers = kernels
-    fast = _Search(g, good, completers, 0, breakers=breakers)
-    plain = _Search(g, good, completers, 0)
+    good, _, breakers = kernels
+    fast = _Search(g, good, breakers, 0)
+    plain = _Search(g, good, breakers_by_definition(good), 0)
     for t in range(1, g.n + 1):
         assert fast.capacity(t) == plain.capacity(t)
     assert fast.tables == plain.tables
@@ -416,19 +425,19 @@ def accumulation_walk(g, good, breakers, t):
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_graphs(min_n=1, max_n=8), st.sampled_from(BREAKERS))
-@example(path(12), BREAKERS[0])
-@example(cycle(13), BREAKERS[0])
-@example(path(12), BREAKERS[1])
-@example(spider(3, 3, 3), BREAKERS[1])
+@given(small_graphs(min_n=1, max_n=8), st.sampled_from(PREDICATES))
+@example(path(12), PREDICATES[0])
+@example(cycle(13), PREDICATES[0])
+@example(path(12), PREDICATES[1])
+@example(spider(3, 3, 3), PREDICATES[1])
 def test_witness_stop_keeps_the_walk_and_stops_first(g, kernels):
     # the walk that tests each rejected t-set at its colex-first superset
     # finds the C_max and tables of the walk that waits for a full count,
     # never takes more nodes, and stops exactly at the colex-least
     # A | min(V - A) over the witnesses A (rejected t-sets that every
     # outside vertex completes); colex order on t-sets is mask order
-    good, completers, breakers = kernels
-    search = _Search(g, good, completers, 0, breakers=breakers)
+    good, _, breakers = kernels
+    search = _Search(g, good, breakers, 0)
     stops = []
 
     def spy(*args):

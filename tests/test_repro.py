@@ -1,4 +1,6 @@
+from locdom import repro
 from locdom.repro import _plain, claim_ids, run_claims, select_claims
+from locdom.ld import gamma_l_value
 from locdom.solver import Budget
 
 
@@ -99,3 +101,21 @@ def test_plain_coalition_claim_keeps_the_node_budget():
         ("plain-coalition-small", "inconclusive")
     ]
     assert rep.budget_hit
+
+
+def test_gamma_claims_pass_the_deadline(monkeypatch):
+    # the claims that only compute gamma_l give every call the budget's
+    # deadline, so one that runs out there ends inconclusive
+    deadlines = []
+
+    def spy(g, deadline=None):
+        deadlines.append(deadline)
+        return gamma_l_value(g, deadline)
+
+    monkeypatch.setattr(repro, "gamma_l_value", spy)
+    budget = Budget(seconds=600)
+    for only in ("gamma-closed-form", "census-order5-gamma2", "census-slater-bounds"):
+        deadlines.clear()
+        rep = run_claims(only=only, budget=budget)
+        assert rep.overall_pass
+        assert deadlines and set(deadlines) == {budget.deadline}

@@ -12,13 +12,13 @@ from locdom.cubic import prism
 from locdom.families import complete, cycle, path, spider
 from locdom.graph import Graph, is_connected, popcount
 from locdom.ld import (
+    completers,
     d_loc,
     gamma_l,
     gamma_l_naive,
     is_dominating,
     is_ld_mask,
     ld_breakers,
-    singleton_completers,
 )
 from locdom.solver import (
     Budget,
@@ -104,9 +104,7 @@ def test_node_budget_holds_across_types():
     # each search of P_15's type is unsat after 13,379 nodes, and the
     # first one first walks 1,183 nodes for C_max(6); no one search
     # reaches a 50,000-node cap, but the fourth one overruns it by one
-    search = solver._Search(
-        path(15), is_ld_mask, singleton_completers, 6, Budget(nodes=50_000)
-    )
+    search = solver._Search(path(15), is_ld_mask, ld_breakers, 6, Budget(nodes=50_000))
     with pytest.raises(solver.BudgetExceeded):
         for _ in range(4):
             assert search.search_type((6, 3, 3, 1, 1, 1)) is None
@@ -196,9 +194,9 @@ def test_capacity_rule_refutes_before_searching():
     # two 6-parts of P_17 have at most C_max(6) = 2 completers each, too
     # few to partner five singletons: the type is refuted with no search
     # node beyond the walk for C_max(6)
-    search = solver._Search(path(17), is_ld_mask, singleton_completers, 7)
+    search = solver._Search(path(17), is_ld_mask, ld_breakers, 7)
     assert search.search_type((6, 6, 1, 1, 1, 1, 1)) is None
-    walk = solver._Search(path(17), is_ld_mask, singleton_completers, 7)
+    walk = solver._Search(path(17), is_ld_mask, ld_breakers, 7)
     assert walk.capacity(6) == 2
     assert search.nodes == walk.nodes == 938
     # every count includes the walks
@@ -210,7 +208,7 @@ def test_parts_below_gamma_minus_one_cost_no_node():
     # empty and a slot of that size short of completers would try no
     # part; P_15's type (4, 4, 4, 1, 1, 1), gamma_l 6, has only such
     # parts besides its singletons and is refuted with no node and no walk
-    search = solver._Search(path(15), is_ld_mask, singleton_completers, 6, breakers=ld_breakers)
+    search = solver._Search(path(15), is_ld_mask, ld_breakers, 6)
     assert search.parts_within(4, path(15).full_mask()) == []
     assert search.search_type((4, 4, 4, 1, 1, 1)) is None
     assert (search.nodes, search.capacities) == (0, {})
@@ -220,7 +218,7 @@ def test_short_slots_draw_parts_in_combination_order():
     # P_14's walk for C_max(5) runs to the end; a 5-slot short of
     # completers tries the table's parts inside its free vertices, in the
     # order combinations() would reach them
-    search = solver._Search(path(14), is_ld_mask, singleton_completers, 6, breakers=ld_breakers)
+    search = solver._Search(path(14), is_ld_mask, ld_breakers, 6)
     search.capacity(5)
     table = search.tables[5]
     assert len(table) > 1
@@ -233,7 +231,7 @@ def test_short_slots_draw_parts_in_combination_order():
 def test_finished_walks_stand_in_for_the_completer_kernel(monkeypatch):
     # P_14's walk for C_max(5) runs to the end, so the search reads the
     # completers of its 5-parts from the walk's table; the walk for
-    # C_max(10) stops early, and 10-parts still ask the kernel
+    # C_max(10) stops early, and 10-parts still judge theirs
     searches = []
     asked = []
 
@@ -242,14 +240,14 @@ def test_finished_walks_stand_in_for_the_completer_kernel(monkeypatch):
             super().__init__(*args, **kwargs)
             searches.append(self)
 
-    def kernel(g, m):
+    def judged(g, m, good):
         if popcount(m) in searches[-1].tables:
-            raise AssertionError(f"kernel asked about a walked {popcount(m)}-set")
+            raise AssertionError(f"completers judged for a walked {popcount(m)}-set")
         asked.append(popcount(m))
-        return singleton_completers(g, m)
+        return completers(g, m, good)
 
     monkeypatch.setattr(solver, "_Search", Watched)
-    monkeypatch.setattr(solver, "singleton_completers", kernel)
+    monkeypatch.setattr(solver, "completers", judged)
     rep = c_l_exact(path(14))
     assert (rep.c_l, rep.nodes_explored) == (5, 744)
     assert sorted(searches[-1].tables) == [5]

@@ -43,8 +43,10 @@ in a second, untimed pass by wrapping ld.colex_walk.
 
 Solve: ns per search node of c_l_exact on P_14, P_15, C_15, P_18 and
 C_18, the fastest of INNER solves, each on a fresh graph, over its exact
-nodes_explored (walk nodes included); kernel_calls counts the calls of
-the completer kernel, ld.singleton_completers, in a second, untimed pass.
+nodes_explored (walk nodes included); kernel_calls counts, in a second,
+untimed pass, the completer masks the search judges for sizes whose
+walk stopped early: the calls of solver.completers, or of
+solver.singleton_completers in a tree that predates it.
 
 Solve-deep: seconds per c_l_exact solve, the fastest of DEEP_INNER, on the
 benchmark's solve-deep graphs P_12, C_12, P_13, C_13 and P_14 (seed 0,
@@ -195,12 +197,13 @@ def _solve() -> dict:
         "P18": lambda: path(18),
         "C18": lambda: cycle(18),
     }
-    kernel = solver.singleton_completers
+    site = "completers" if hasattr(solver, "completers") else "singleton_completers"
+    kernel = getattr(solver, site)
     calls = [0]
 
-    def counted(g, m):
+    def counted(*args):
         calls[0] += 1
-        return kernel(g, m)
+        return kernel(*args)
 
     out = {}
     for name, build in builds.items():
@@ -212,11 +215,11 @@ def _solve() -> dict:
             dt = time.perf_counter_ns() - t0
             best = dt if best is None else min(best, dt)
         calls[0] = 0
-        solver.singleton_completers = counted
+        setattr(solver, site, counted)
         try:
             solver.c_l_exact(build())
         finally:
-            solver.singleton_completers = kernel
+            setattr(solver, site, kernel)
         out[f"{name}.nodes"] = nodes
         out[f"{name}.ns_per_node"] = best / nodes
         out[f"{name}.kernel_calls"] = calls[0]

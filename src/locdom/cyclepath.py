@@ -106,7 +106,7 @@ def verify_lemma_ld5_2() -> dict:
     the sets attaining it separately."""
     g = cycle(15)
     full_mask = g.full_mask()
-    partner_cap = 2 * g.max_degree()
+    cap = partner_cap(g)
     scanned = 0
     ld_sets = 0
     histogram: dict[int, int] = {}
@@ -127,7 +127,7 @@ def verify_lemma_ld5_2() -> dict:
         closed = closed_mask(g, m)
         undominated = popcount(full_mask & ~closed)
         connected = reachable_mask(g, combo[0], closed) == closed
-        if k > partner_cap:
+        if k > cap:
             structure_violations.append(("over_partner_cap", combo, cs))
         if k > 0 and not connected:
             structure_violations.append(("disconnected_with_completers", combo, cs))

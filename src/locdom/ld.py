@@ -6,8 +6,8 @@ module computes the locating-domination number gamma_l and the
 location-domatic number d_loc exactly, at the small orders this project
 targets, and holds what the C_L solver shares with them: the predicates,
 their completer masks (the domination filter, then the predicate on each
-vertex it passes), their one-pass breaker masks and the pruned colex
-walk.
+vertex it passes), their one-pass breaker masks, the pruned colex walk
+and the Meter that holds every budgeted search to its budget.
 """
 
 from __future__ import annotations
@@ -36,6 +36,36 @@ class BudgetExceeded(RuntimeError):
 
 # A budgeted search checks its deadline every _CHECK_EVERY nodes.
 _CHECK_EVERY = 256
+
+
+class Meter:
+    """A search's node count, held to a node cap and to a deadline (a
+    time.monotonic() value, read every _CHECK_EVERY nodes); None means
+    unlimited.  Past either, _tick raises BudgetExceeded."""
+
+    def __init__(self, deadline: Optional[float] = None, node_cap: Optional[int] = None):
+        self.deadline = deadline
+        self.node_cap = node_cap
+        self.nodes = 0
+        self._check_at = self._next_check()
+
+    def _next_check(self) -> int:
+        """The node count at which _tick next checks the budget."""
+        at = (self.nodes // _CHECK_EVERY + 1) * _CHECK_EVERY
+        return at if self.node_cap is None else min(at, self.node_cap + 1)
+
+    def _tick(self):
+        self.nodes += 1
+        if self.nodes >= self._check_at:
+            if self.node_cap is not None and self.nodes > self.node_cap:
+                raise BudgetExceeded("node budget exceeded", self.nodes)
+            if (
+                self.nodes % _CHECK_EVERY == 0
+                and self.deadline is not None
+                and time.monotonic() > self.deadline
+            ):
+                raise BudgetExceeded("time budget exceeded", self.nodes)
+            self._check_at = self._next_check()
 
 
 # -- predicates ----------------------------------------------------------
@@ -257,7 +287,7 @@ def gamma_l_naive(g: Graph) -> tuple[int, VertexSet]:
 
 
 def colex_walk(g: Graph, k: int, admit, leaf) -> Optional[int]:
-    """First k-set S in colex order with leaf(S) true, or None.
+    """First k-set S in colex order with leaf(S) true, or None; k >= 1.
 
     Walks k-subsets in exact colex order (max element chosen first,
     ascending).  A node (chosen, limit) may still add any vertex below
@@ -276,8 +306,6 @@ def colex_walk(g: Graph, k: int, admit, leaf) -> Optional[int]:
         reach.append(reach[-1] | cadj[v])
 
     def descend(chosen: int, closed: int, limit: int, need: int) -> Optional[int]:
-        if need == 0:
-            return chosen if leaf(chosen) else None
         if need == 1:
             last = (1 << limit) - 1
             missing = full & ~closed
@@ -307,8 +335,8 @@ def colex_walk(g: Graph, k: int, admit, leaf) -> Optional[int]:
 
 def _colex_least_ld(g: Graph, k: int, deadline: Optional[float] = None) -> Optional[int]:
     """Colex-least LD-set of size k, or None if no size-k LD-set exists.
-    Past deadline, a time.monotonic() value checked every _CHECK_EVERY
-    nodes, it raises BudgetExceeded.
+    Given a deadline, admit ticks a Meter(deadline) at every node, which
+    raises BudgetExceeded past it; without one no node is counted.
 
     Beyond colex_walk's domination test, prunes a node (chosen, limit) at
     which two decided vertices, outside chosen with no neighbour below
@@ -351,14 +379,8 @@ def _colex_least_ld(g: Graph, k: int, deadline: Optional[float] = None) -> Optio
 
     admit = locatable
     if deadline is not None:
-        nodes = 0
-
-        def admit(chosen: int, limit: int) -> bool:
-            nonlocal nodes
-            nodes += 1
-            if nodes % _CHECK_EVERY == 0 and time.monotonic() > deadline:
-                raise BudgetExceeded("time budget exceeded in the gamma_l search")
-            return locatable(chosen, limit)
+        tick = Meter(deadline)._tick
+        admit = lambda chosen, limit: tick() or locatable(chosen, limit)
 
     return colex_walk(g, k, admit, lambda m: is_ld_mask(g, m))
 

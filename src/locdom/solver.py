@@ -23,9 +23,9 @@ whose walk stopped early does it judge them, by ld.completers: the
 domination filter, then the predicate on each vertex that passes.  A
 slot already short of completers tries only the parts in the walk's
 table.  Only the part-size types that pass the first label are
-generated.  Each solve builds one _Search, which screens the types,
-searches the survivors and keeps the predicate caches, the completer
-tables and the node count that all of them share.
+generated.  Each solve builds one _Search, an ld.Meter, which screens
+the types, searches the survivors and keeps the predicate caches, the
+completer tables and the node count that all of them share.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ from .graph import (
     popcount,
 )
 from .ld import (
-    _CHECK_EVERY,
     BudgetExceeded,
+    Meter,
     colex_walk,
     completers,
     dominating_breakers,
@@ -199,7 +199,7 @@ class _Completers(dict):
         return c
 
 
-class _Search:
+class _Search(Meter):
     """One solve: a slot-sequential assignment search over the part-size
     types that survive type_labels, with the caches all its types share.
 
@@ -263,12 +263,9 @@ class _Search:
 
     def __init__(self, g: Graph, good, breakers, gamma: int, budget: Optional[Budget] = None):
         budget = budget or Budget()
+        super().__init__(budget.deadline, budget.nodes)
         self.g = g
         self.gamma = gamma
-        self.deadline = budget.deadline
-        self.node_cap = budget.nodes
-        self.nodes = 0
-        self._check_at = self._next_check()
         self.good = good
         self.verdict = functools.cache(lambda m: good(g, m))
         self.breakers = breakers
@@ -279,24 +276,6 @@ class _Search:
         self._no_completers = _Completers()
         # lower twins by vertex bit; twin-free: no check
         self.twins = {1 << v: t for v, t in enumerate(lower_twins(g)) if t} or None
-
-    def _next_check(self) -> int:
-        """The node count at which _tick next checks the budget."""
-        at = (self.nodes // _CHECK_EVERY + 1) * _CHECK_EVERY
-        return at if self.node_cap is None else min(at, self.node_cap + 1)
-
-    def _tick(self):
-        self.nodes += 1
-        if self.nodes >= self._check_at:
-            if self.node_cap is not None and self.nodes > self.node_cap:
-                raise BudgetExceeded("node budget exceeded", self.nodes)
-            if (
-                self.nodes % _CHECK_EVERY == 0
-                and self.deadline is not None
-                and time.monotonic() > self.deadline
-            ):
-                raise BudgetExceeded("time budget exceeded", self.nodes)
-            self._check_at = self._next_check()
 
     def completer_table(self, size: int) -> _Completers:
         """Completer masks of the rejected parts of one size: the walk's
@@ -357,36 +336,31 @@ class _Search:
         superset of A.  So the walk stops iff a witness exists, at the
         colex-least A | min(V - A) of any witness, never later than at
         the last superset of one, where its count was first complete.
-        C_max and every kept table are those of the full walk.
+        C_max and every kept table are those of the full walk.  A low
+        breaker is tested as a witness before it is recorded.
         """
         if t not in self.capacities:
             g, good, breakers = self.g, self.good, self.breakers
             full = g.full_mask()
             table = _Completers()
-
-            def admit(chosen: int, limit: int) -> bool:
-                self._tick()
-                return True
+            admit = lambda chosen, limit: self._tick() or True
 
             def leaf(s: int) -> bool:
                 rest = breakers(g, s)  # -1 if s is not good
                 if rest <= 0:
                     return False
                 out = full & ~s
-                first = rest & (out & -out) - 1  # the v below min(V - S), all if S = V
-                while first:
-                    low = first & -first
-                    a = s ^ low
-                    ws = out
-                    while ws and good(g, a | ws & -ws):
-                        ws &= ws - 1
-                    if not ws:
-                        table[a] = full & ~a
-                        return True
-                    first ^= low
+                below = (out & -out) - 1  # the v below min(V - S), all if S = V
                 while rest:
                     low = rest & -rest
                     a = s ^ low
+                    if low & below:
+                        ws = out
+                        while ws and good(g, a | ws & -ws):
+                            ws &= ws - 1
+                        if not ws:
+                            table[a] = full & ~a
+                            return True
                     table[a] = table.get(a, 0) | low
                     rest ^= low
                 return False
@@ -684,12 +658,15 @@ def c_l_oracle(g: Graph, good=None) -> Union[int, str]:
     return best if best else "none"
 
 
-def _domination_number(g: Graph) -> int:
+def _domination_number(g: Graph, deadline: Optional[float] = None) -> int:
     """Least size at which colex_walk reaches a leaf: every leaf it
-    reaches dominates, and it prunes no dominating set."""
+    reaches dominates, and it prunes no dominating set.  Its nodes tick
+    one Meter(deadline)."""
+    tick = Meter(deadline)._tick
+    admit = lambda chosen, limit: tick() or True
     yes = lambda *_: True
     for size in range(1, g.n + 1):
-        if colex_walk(g, size, yes, yes) is not None:
+        if colex_walk(g, size, admit, yes) is not None:
             return size
     raise AssertionError("V itself always dominates")
 
@@ -702,7 +679,8 @@ def plain_coalition_number(
     Parts must be non-dominating with a partner (two non-dominating parts
     whose union dominates), except that a dominating set of size one may
     stand alone as its own part.  Running out of budget raises
-    BudgetExceeded.
+    BudgetExceeded: the deadline covers the domination walk that finds
+    gamma, and the node cap the search alone.
 
     Those singletons are the universal vertices U (N[v] = V), set aside
     before the search.  A part holding one dominates, so it is that vertex
@@ -720,7 +698,7 @@ def plain_coalition_number(
     index = {v: i for i, v in enumerate(keep)}
     edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
     h = Graph(len(keep), edges)
-    gamma = _domination_number(h)
+    gamma = _domination_number(h, budget and budget.deadline)
     kmax = h.n - gamma + 2  # at most h.n: no universal vertex, so gamma >= 2
     search = _Search(h, is_dominating, dominating_breakers, gamma, budget)
     status, sizes, masks = search.run(range(kmax, 1, -1), h.max_degree() + 1)

@@ -21,14 +21,15 @@ def test_graph6_known_encodings():
 
 
 def test_graph6_round_trip_families():
-    for g in (path(7), cycle(9), complete(5), star(6)):
+    # orders above 62 take the four-character order field
+    for g in (path(7), cycle(9), complete(5), star(6), cycle(63), cycle(64), cycle(128)):
         s = to_graph6(g)
         h = parse_graph6(s)
         assert h.n == g.n and sorted(h.edges()) == sorted(g.edges())
 
 
 def test_graph6_matches_networkx():
-    for g in (path(6), cycle(8), complete(4), star(5)):
+    for g in (path(6), cycle(8), complete(4), star(5), cycle(63), cycle(64), cycle(128)):
         ours = to_graph6(g)
         nxg = networkx.Graph()
         nxg.add_nodes_from(range(g.n))
@@ -51,6 +52,10 @@ def test_graph6_errors():
         parse_graph6("D?")  # truncated payload
     with pytest.raises(GraphFormatError):
         parse_graph6("D?{extra")
+    with pytest.raises(GraphFormatError):
+        parse_graph6("~??")  # truncated long order field
+    with pytest.raises(GraphFormatError):
+        parse_graph6("~~??????")  # eight-character order field
 
 
 def test_edge_list_round_trip():

@@ -432,6 +432,15 @@ def test_plain_coalition_number():
         plain_coalition_number(Graph(0))
 
 
+def test_time_budget_covers_the_domination_walk():
+    # the domination-number walk alone takes over 30 s on P_50 on a
+    # 2-core VM, all before the search's first node
+    start = time.monotonic()
+    with pytest.raises(solver.BudgetExceeded):
+        plain_coalition_number(path(50), Budget(seconds=0.2))
+    assert time.monotonic() - start < 2
+
+
 def test_universal_vertices_never_reach_the_search():
     # every vertex of K_n is universal and stands alone, so no search node
     # is spent, and a one-node budget suffices

@@ -17,9 +17,9 @@ minutes, so every timing is also given in units of perfbench's reference
 slice (workloads.reference_slice, a fixed pure-Python job), run before
 each section and after the last; reference.slice_s is the round's median
 slice.  A key ending in _s (seconds) gets a twin ending in _ref, the
-seconds over that slice, and a key ns_per_X a twin uref_per_X, in
-millionths of the slice.  Compare sides by these: the raw figures carry
-the drift.
+seconds over the mean of the two slices taken just before and just after
+its section, and a key ns_per_X a twin uref_per_X, in millionths of that
+mean.  Compare sides by these: the raw figures carry the drift.
 
 Kernels: ns per call of ld.is_ld_mask and ld.singleton_completers,
 looped over one fixed list of uniformly random masks (random.Random(0),
@@ -45,8 +45,7 @@ Solve: ns per search node of c_l_exact on P_14, P_15, C_15, P_18 and
 C_18, the fastest of INNER solves, each on a fresh graph, over its exact
 nodes_explored (walk nodes included); kernel_calls counts, in a second,
 untimed pass, the completer masks the search judges for sizes whose
-walk stopped early: the calls of solver.completers, or of
-solver.singleton_completers in a tree that predates it.
+walk stopped early: the calls of solver.completers.
 
 Solve-deep: seconds per c_l_exact solve, the fastest of DEEP_INNER, on the
 benchmark's solve-deep graphs P_12, C_12, P_13, C_13 and P_14 (seed 0,
@@ -197,8 +196,7 @@ def _solve() -> dict:
         "P18": lambda: path(18),
         "C18": lambda: cycle(18),
     }
-    site = "completers" if hasattr(solver, "completers") else "singleton_completers"
-    kernel = getattr(solver, site)
+    kernel = solver.completers
     calls = [0]
 
     def counted(*args):
@@ -215,11 +213,11 @@ def _solve() -> dict:
             dt = time.perf_counter_ns() - t0
             best = dt if best is None else min(best, dt)
         calls[0] = 0
-        setattr(solver, site, counted)
+        solver.completers = counted
         try:
             solver.c_l_exact(build())
         finally:
-            setattr(solver, site, kernel)
+            solver.completers = kernel
         out[f"{name}.nodes"] = nodes
         out[f"{name}.ns_per_node"] = best / nodes
         out[f"{name}.kernel_calls"] = calls[0]
@@ -298,15 +296,13 @@ def _measure() -> dict:
         "solve": _solve,
         "solve_deep": _solve_deep,
     }
-    slices = []
+    slices = [reference_slice()]
     out = {}
     for name, measure in sections.items():
+        section = measure()
         slices.append(reference_slice())
-        out[name] = measure()
-    slices.append(reference_slice())
-    ref_s = statistics.median(slices)
-    out = {name: _in_ref_units(section, ref_s) for name, section in out.items()}
-    return {"reference": {"slice_s": ref_s}, **out}
+        out[name] = _in_ref_units(section, (slices[-2] + slices[-1]) / 2)
+    return {"reference": {"slice_s": statistics.median(slices)}, **out}
 
 
 def _summary(rounds: list[dict]) -> dict:

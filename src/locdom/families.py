@@ -1,6 +1,12 @@
-"""Named graph families with documented, canonical vertex labelings."""
+"""Named graph families with documented, canonical vertex labelings.
+
+The parametric builders hand Graph their edges as generators, so an
+order above graph.MAX_ORDER is refused before a single edge is built.
+"""
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .graph import Graph
 
@@ -9,34 +15,34 @@ def path(n: int) -> Graph:
     """P_n: vertices 0..n-1 in path order."""
     if n < 1:
         raise ValueError("path needs at least one vertex")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)], name=f"P_{n}")
+    return Graph(n, ((i, i + 1) for i in range(n - 1)), name=f"P_{n}")
 
 
 def cycle(n: int) -> Graph:
     """C_n: vertices 0..n-1 consecutively around the cycle."""
     if n < 3:
         raise ValueError("cycle needs at least three vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)], name=f"C_{n}")
+    return Graph(n, ((i, (i + 1) % n) for i in range(n)), name=f"C_{n}")
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)], name=f"K_{n}")
+    return Graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)), name=f"K_{n}")
 
 
 def star(n: int) -> Graph:
     """Star on n vertices total, i.e. K_{1,n-1} with center 0."""
     if n < 1:
         raise ValueError("star needs at least one vertex")
-    return Graph(n, [(0, i) for i in range(1, n)], name=f"K_1,{n - 1}")
+    return Graph(n, ((0, i) for i in range(1, n)), name=f"K_1,{n - 1}")
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b} with sides {0..a-1} and {a..a+b-1}."""
     if a < 1 or b < 1:
         raise ValueError("both sides of a complete bipartite graph must be non-empty")
-    edges = [(i, a + j) for i in range(a) for j in range(b)]
+    edges = ((i, a + j) for i in range(a) for j in range(b))
     return Graph(a + b, edges, name=f"K_{a},{b}")
 
 
@@ -62,26 +68,19 @@ def spider(l1: int, l2: int, l3: int) -> Graph:
     legs = (l1, l2, l3)
     if any(l < 1 for l in legs):
         raise ValueError("spider legs must have length at least 1")
-    edges = []
-    nxt = 1
-    for length in legs:
-        prev = 0
-        for _ in range(length):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-    return Graph(nxt, edges, name=f"spider({l1},{l2},{l3})")
+    firsts = {1, 1 + l1, 1 + l1 + l2}  # each leg's vertex next to the center
+    n = 1 + l1 + l2 + l3
+    edges = ((0 if v in firsts else v - 1, v) for v in range(1, n))
+    return Graph(n, edges, name=f"spider({l1},{l2},{l3})")
 
 
 def prism(k: int) -> Graph:
     """Circular ladder: two k-cycles joined by a perfect matching."""
     if k < 3:
         raise ValueError("prism needs k >= 3")
-    edges = []
-    for i in range(k):
-        edges.append((i, (i + 1) % k))
-        edges.append((k + i, k + (i + 1) % k))
-        edges.append((i, k + i))
+    edges = (
+        e for i in range(k) for e in ((i, (i + 1) % k), (k + i, k + (i + 1) % k), (i, k + i))
+    )
     return Graph(2 * k, edges, name=f"prism_{k}")
 
 
@@ -90,8 +89,7 @@ def mobius_ladder(k: int) -> Graph:
     if k < 3:
         raise ValueError("mobius ladder needs k >= 3")
     n = 2 * k
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    edges += [(i, i + k) for i in range(k)]
+    edges = chain(((i, (i + 1) % n) for i in range(n)), ((i, i + k) for i in range(k)))
     return Graph(n, edges, name=f"mobius_{n}")
 
 
@@ -101,11 +99,9 @@ def generalized_petersen(n: int, k: int) -> Graph:
         raise ValueError(
             f"generalized Petersen graph needs n >= 3, 1 <= k <= n - 1 and 2k != n; got n={n}, k={k}"
         )
-    edges = []
-    for i in range(n):
-        edges.append((i, (i + 1) % n))
-        edges.append((i, n + i))
-        edges.append((n + i, n + (i + k) % n))
+    edges = (
+        e for i in range(n) for e in ((i, (i + 1) % n), (i, n + i), (n + i, n + (i + k) % n))
+    )
     return Graph(2 * n, edges, name=f"GP({n},{k})")
 
 

@@ -1,31 +1,19 @@
 """Exact C_L solver: type-first search with label pruning.
 
-Candidate part counts k are tried downward from min(n, n - gamma_l + 2);
-for each k the multisets of part sizes (types, largest first) are
-screened by two arguments that need no assignment search at all (a part
-size with no possible partner, a part size forced to carry too many
-partners), and surviving types go to a slot-sequential assignment search
-with symmetry breaking (equal-size parts in order, twins in order) and
-incremental partner checks.  The search takes the predicate parts are
-judged by with its breaker kernel: ld.is_ld_mask and ld.ld_breakers for
-C_L, ld.is_dominating and ld.dominating_breakers for the plain coalition
-number, which first sets aside its only good singletons, the universal
-vertices: every part searched needs a partner.  A capacity rule counts
-singleton partners from the first slot on: parts that can partner a
-singleton complete at most C_max(size) of them, which can refute a type
-before it is searched; C_max comes from a walk over the good sets one
-larger, which also records every completer it meets (one call of the
-predicate's breaker kernel per leaf) and stops at the first leaf that
-shows C_max(t) reaching its ceiling n - t: the colex-first superset of
-a t-set that every outside vertex completes.  The search reads which
-vertices complete a placed part from the walk's table; only for a size
-whose walk stopped early does it judge them, by ld.completers: the
-domination filter, then the predicate on each vertex that passes.  A
-slot already short of completers tries only the parts in the walk's
-table.  Only the part-size types that pass the first label are
-generated.  Each solve builds one _Search, an ld.Meter, which screens
-the types, searches the survivors and keeps the predicate caches, the
-completer tables and the node count that all of them share.
+- Levels.  _solve, the one routine behind c_l_exact and c_l_at_least,
+  finds gamma_l and tries part counts k downward: c_l_exact from
+  min(n, n - gamma_l + 2), c_l_at_least over the levels its merge lemma
+  leaves.  plain_coalition_number runs the same search under the
+  domination predicate.
+- Type screen.  The part-size multisets (types) of each k are generated
+  only if they pass label {1} (partitions_of_int), and type_labels
+  screens label {1, 2}; both are proved in type_labels.
+- Slot search.  _Search, an ld.Meter, fills a surviving type's slots in
+  order with incremental partner checks under the predicate and breaker
+  kernel it is given; its docstring proves the twin rule.
+- Capacity rule.  Parts partner at most C_max(size) singletons each,
+  proved in the _Search docstring; _Search.capacity proves the walk that
+  counts C_max and records the completer tables the search reads.
 """
 
 from __future__ import annotations
@@ -468,37 +456,50 @@ class _Search(Meter):
         first satisfiable type wins.  Only the types that pass label {1}
         are generated, so type_labels screens label {1, 2} alone.
 
-        Returns (status, deciding type, masks or None).  The deciding type
-        is the satisfiable one, or for status "budget" the one that ran out
-        before an answer; it is None when every type is "unsat".  Either
-        way self.nodes is the count the node cap bounds, so a cap equal to
-        a conclusive count settles the same answer.
+        Returns (status, deciding type, masks or None), the status as a
+        SolveReport gives it: "exact" with the satisfiable type and its
+        masks, "inconclusive" with the type that ran out of budget before
+        an answer, or "none", with no type, when every type is refuted.
+        Either way self.nodes is the count the node cap bounds, so a cap
+        equal to a conclusive count settles the same answer.
         """
         for k in counts:
             for sizes in partitions_of_int(self.g.n, k, self.gamma):
                 if self.deadline is not None and time.monotonic() > self.deadline:
-                    return ("budget", sizes, None)
+                    return ("inconclusive", sizes, None)
                 if type_labels(sizes, self.gamma, max_partners):
                     continue
                 try:
                     masks = self.search_type(sizes)
                 except BudgetExceeded:
-                    return ("budget", sizes, None)
+                    return ("inconclusive", sizes, None)
                 if masks is not None:
-                    return ("sat", sizes, masks)
-        return ("unsat", None, None)
+                    return ("exact", sizes, masks)
+        return ("none", None, None)
 
 
-_REPORT_STATUS = {"sat": "exact", "unsat": "none", "budget": "inconclusive"}
-
-
-def _budgeted_gamma_l(g: Graph, budget: Optional[Budget]) -> Optional[int]:
-    """gamma_l(g), or None if the budget's deadline passes during its
-    search.  Without a deadline the search runs unchecked."""
+def _solve(g: Graph, budget: Optional[Budget], levels) -> SolveReport:
+    """The C_L search over the part counts levels(gamma_l) gives, a
+    descending range, with c_l_exact's report.  The budget's deadline
+    covers the gamma_l search too; if it passes there, the report is
+    "inconclusive" with no bounds and no nodes."""
+    start = time.monotonic()
     try:
-        return gamma_l_value(g, budget and budget.deadline)
+        gamma = gamma_l_value(g, budget and budget.deadline)
     except BudgetExceeded:
-        return None
+        return SolveReport(None, None, elapsed=time.monotonic() - start, status="inconclusive")
+    counts = levels(gamma)
+    bounds = [("gamma_l", gamma), ("upper_start", counts.start)]
+    search = _Search(g, is_ld_mask, ld_breakers, gamma, budget)
+    status, sizes, masks = search.run(counts, partner_cap(g))
+    c_l, cert = ("none" if status == "none" else None), None
+    if status == "exact":
+        c_l = len(sizes)
+        cert = certify_masks(g, masks, "the C_L search")
+        bounds.append(("settled_at", c_l))
+    elif status == "inconclusive":
+        bounds.append(("refuted_down_to", len(sizes) + 1))
+    return SolveReport(c_l, cert, bounds, search.nodes, time.monotonic() - start, status)
 
 
 def c_l_exact(
@@ -513,29 +514,7 @@ def c_l_exact(
     search too; if it passes there, the report is "inconclusive" with no
     bounds and no nodes.
     """
-    start = time.monotonic()
-    gamma = _budgeted_gamma_l(g, budget)
-    if gamma is None:
-        return SolveReport(None, None, elapsed=time.monotonic() - start, status="inconclusive")
-    kmax = min(g.n, g.n - gamma + 2)
-    bounds = [("gamma_l", gamma), ("upper_start", kmax)]
-    search = _Search(g, is_ld_mask, ld_breakers, gamma, budget)
-    status, sizes, masks = search.run(range(kmax, 1, -1), partner_cap(g))
-    c_l, cert = ("none" if status == "unsat" else None), None
-    if status == "sat":
-        c_l = len(sizes)
-        cert = certify_masks(g, masks, "the C_L search")
-        bounds.append(("settled_at", c_l))
-    elif status == "budget":
-        bounds.append(("refuted_down_to", len(sizes) + 1))
-    return SolveReport(
-        c_l=c_l,
-        certificate=cert,
-        bounds_used=bounds,
-        nodes_explored=search.nodes,
-        elapsed=time.monotonic() - start,
-        status=_REPORT_STATUS[status],
-    )
+    return _solve(g, budget, lambda gamma: range(min(g.n, g.n - gamma + 2), 1, -1))
 
 
 def c_l_value(g: Graph, budget: Optional[Budget] = None) -> Union[int, str]:
@@ -556,6 +535,7 @@ def c_l_at_least(
     Status "exact" carries a certificate and c_l, its part count, which is
     at least k; "none" is exhaustive: C_L < k; "inconclusive" means the
     budget ran out first, in the gamma_l search or in the C_L search.
+    Either way bounds_used is [("at_least", k)].
 
     Having a j-part partition is not monotone in j (P_3 and C_5 have none
     with 2 parts, yet C_L(P_3) = 3 and C_L(C_5) = 5), but it is above
@@ -571,25 +551,13 @@ def c_l_at_least(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    bounds = [("at_least", k)]
-    start = time.monotonic()
-    gamma = _budgeted_gamma_l(g, budget)
-    if gamma is None:
-        return SolveReport(None, None, bounds, elapsed=time.monotonic() - start, status="inconclusive")
-    t = 2 * g.n // gamma + 1
     # above n - gamma_l + 2 parts every type has a part with no possible
     # partner, so the screen alone refutes such a k
-    search = _Search(g, is_ld_mask, ld_breakers, gamma, budget)
-    status, sizes, masks = search.run(range(max(k, t - 1), k - 1, -1), partner_cap(g))
-    cert = certify_masks(g, masks, "the C_L search") if status == "sat" else None
-    return SolveReport(
-        c_l=len(sizes) if cert is not None else None,
-        certificate=cert,
-        bounds_used=bounds,
-        nodes_explored=search.nodes,
-        elapsed=time.monotonic() - start,
-        status=_REPORT_STATUS[status],
-    )
+    rep = _solve(g, budget, lambda gamma: range(max(k, 2 * g.n // gamma), k - 1, -1))
+    rep.bounds_used = [("at_least", k)]
+    if rep.status != "exact":
+        rep.c_l = None
+    return rep
 
 
 # -- naive oracles (testing / small cases) -------------------------------
@@ -702,11 +670,11 @@ def plain_coalition_number(
     kmax = h.n - gamma + 2  # at most h.n: no universal vertex, so gamma >= 2
     search = _Search(h, is_dominating, dominating_breakers, gamma, budget)
     status, sizes, masks = search.run(range(kmax, 1, -1), h.max_degree() + 1)
-    if status == "budget":
+    if status == "inconclusive":
         raise BudgetExceeded(
             f"search at size {len(sizes) + g.n - h.n} ran out of budget", search.nodes
         )
-    if status == "unsat":
+    if status == "none":
         return "none"
     masks = [mask_of(keep[i] for i in bits_of(m)) for m in masks]
     masks += [1 << v for v in range(g.n) if v not in index]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from locdom.cubic import is_cubic, petersen
@@ -94,3 +96,22 @@ def test_parse_cubic_family_specs():
         parse_family_spec("gp:5")
     with pytest.raises(ValueError):
         parse_family_spec("prism:2")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["complete:1000", "complete_bipartite:1000,1000", "spider:200000,1,1"]
+    + [f"{name}:200000" for name in ("path", "cycle", "star", "prism", "mobius")]
+    + ["gp:200000,2"],
+)
+def test_oversized_specs_fail_before_building_edges(spec):
+    # the order cap is checked before any edge is built, so a spec far
+    # above it fails at once instead of exhausting memory
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the supported cap"):
+            parse_family_spec(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -289,14 +289,14 @@ def test_budget_fixes_its_deadline_when_made():
 
 
 @pytest.mark.parametrize(
-    "solve",
+    "solve, bounds",
     [
-        lambda g, budget: c_l_exact(g, budget=budget),
-        lambda g, budget: c_l_at_least(g, 5, budget=budget),
+        (lambda g, budget: c_l_exact(g, budget=budget), []),
+        (lambda g, budget: c_l_at_least(g, 5, budget=budget), [("at_least", 5)]),
     ],
     ids=["exact", "at-least-5"],
 )
-def test_time_budget_covers_the_gamma_l_search(solve):
+def test_time_budget_covers_the_gamma_l_search(solve, bounds):
     # gamma_l(prism(15)) takes seconds of colex search, all before the
     # C_L search's first node; the deadline stops it there, and the
     # partial search leaves no memo behind
@@ -305,6 +305,7 @@ def test_time_budget_covers_the_gamma_l_search(solve):
     rep = solve(g, Budget(seconds=0.1))
     assert time.monotonic() - start < 1
     assert (rep.status, rep.c_l, rep.nodes_explored) == ("inconclusive", None, 0)
+    assert rep.bounds_used == bounds
     assert g._gamma_l is None
     with pytest.raises(solver.BudgetExceeded):
         gamma_l(g, deadline=time.monotonic())
@@ -349,6 +350,21 @@ def test_at_least_decision():
     cert = c_l_at_least(cycle(6), 5).certificate
     assert cert is not None and cert.verify(cycle(6))
     assert c_l_at_least(cycle(6), 6).status == "none"
+
+
+def test_at_least_report_in_every_outcome():
+    # the report names only the level asked about, and c_l only with a
+    # certificate, whether the search settles, refutes or runs out
+    outcomes = [
+        (cycle(6), 5, None, ("exact", 5, 10)),
+        (path(14), 6, None, ("none", None, 432)),
+        (path(15), 6, Budget(nodes=1000), ("inconclusive", None, 1001)),
+    ]
+    for g, k, budget, (status, c_l, nodes) in outcomes:
+        rep = c_l_at_least(g, k, budget=budget)
+        assert (rep.status, rep.c_l, rep.nodes_explored) == (status, c_l, nodes)
+        assert rep.bounds_used == [("at_least", k)]
+        assert (rep.certificate is not None) == (status == "exact")
 
 
 def test_at_least_decides_c_l_on_the_census():

@@ -52,21 +52,23 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_budget_args(p: argparse.ArgumentParser) -> None:
+def _add_budget_args(p: argparse.ArgumentParser, nodes: bool = True) -> None:
     p.add_argument(
         "--budget-seconds",
         type=float,
         default=None,
         help="wall-clock cap for searches (default: LDC_BUDGET_SECONDS)",
     )
-    p.add_argument(
-        "--budget-nodes", type=int, default=None, help="search node cap"
-    )
+    if nodes:
+        p.add_argument(
+            "--budget-nodes", type=int, default=None, help="search node cap"
+        )
 
 
 def _budget(args) -> Budget:
-    """The budget of a cl or reproduce run.  Only these read
-    LDC_BUDGET_SECONDS, so a malformed value fails them alone."""
+    """The budget of a gamma-l, cl or reproduce run.  Only these read
+    LDC_BUDGET_SECONDS, so a malformed value fails them alone; gamma-l
+    has no node cap."""
     seconds, source = args.budget_seconds, "--budget-seconds"
     env = os.environ.get("LDC_BUDGET_SECONDS")
     if seconds is None and env:
@@ -77,9 +79,10 @@ def _budget(args) -> Budget:
             raise ValueError(f"{source} is not a number: {env!r}")
     if seconds is not None and not (math.isfinite(seconds) and seconds > 0):
         raise ValueError(f"{source} must be positive and finite")
-    if args.budget_nodes is not None and args.budget_nodes <= 0:
+    nodes = getattr(args, "budget_nodes", None)
+    if nodes is not None and nodes <= 0:
         raise ValueError("--budget-nodes must be positive")
-    return Budget(seconds=seconds, nodes=args.budget_nodes)
+    return Budget(seconds=seconds, nodes=nodes)
 
 
 def _load_graph(args) -> Graph:
@@ -128,7 +131,7 @@ def _report(args, doc: dict, text: Optional[str] = None) -> None:
 
 def cmd_gamma_l(args) -> int:
     g = _load_graph(args)
-    value, witness = gamma_l(g)
+    value, witness = gamma_l(g, _budget(args).deadline)  # past it: exit 4
     w = witness.to_sorted_list()
     text = f"gamma_l = {value}\nwitness = {{" + ", ".join(map(str, w)) + "}\n"
     _report(args, {"gamma_l": value, "witness": w}, text)
@@ -205,6 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma-l", help="location-domination number with witness")
     _add_input_args(p)
+    _add_budget_args(p, nodes=False)
     p.add_argument("--json", action="store_true", help="JSON output")
     p.add_argument("--output", help="also write the JSON report to a file")
     p.set_defaults(fn=cmd_gamma_l)

@@ -6,8 +6,9 @@ module computes the locating-domination number gamma_l and the
 location-domatic number d_loc exactly, at the small orders this project
 targets, and holds what the C_L solver shares with them: the predicates,
 their completer masks (the domination filter, then the predicate on each
-vertex it passes), their one-pass breaker masks, the pruned colex walk
-and the Meter that holds every budgeted search to its budget.
+vertex it passes), their one-pass breaker masks, their small hit sets,
+the pruned colex walk and the Meter that holds every budgeted search to
+its budget.
 """
 
 from __future__ import annotations
@@ -183,6 +184,31 @@ def dominating_breakers(g: Graph, m: int) -> int:
         if not c & (c - 1):
             breakers |= c
     return breakers
+
+
+def small_hit_sets(g: Graph, good, breakers, twins: list[int]) -> list[int]:
+    """The minimal hit sets of at most two vertices under good (is_ld_mask
+    or is_dominating) and its breaker kernel, singletons first, then pairs
+    by mask; twins is lower_twins(g).  A hit set is an H with
+    not good(V - H); good sets are closed upward, so every good set meets
+    every hit set.  Minimal: no proper subset of H is one.
+
+    The singletons are the breakers of V, which is good.  A minimal pair
+    {u, v} leaves V - {u, v} not good while V - u and V - v are good.
+    Under either predicate V - {u, v} fails only at its outside vertices,
+    so one of them, u say, is undominated, or (LD only) u and v share a
+    trace.  Undominated: N(u) lies within {v}, and is not empty, or V - u
+    would fail too; so u has degree 1 and v is its neighbour.  A shared
+    trace is N(u) - v = N(v) - u: u and v are twins.  So the pairs are
+    among these candidates, each confirmed by one predicate call.
+    """
+    full = g.full_mask()
+    ones = breakers(g, full)
+    pairs = {1 << v | 1 << u for v, t in enumerate(twins) for u in bits_of(t)}
+    pairs.update(1 << v | a for v, a in enumerate(g.adj) if a and not a & (a - 1))
+    return [1 << v for v in bits_of(ones)] + [
+        h for h in sorted(pairs) if not h & ones and not good(g, full & ~h)
+    ]
 
 
 @dataclass(frozen=True)

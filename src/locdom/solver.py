@@ -14,6 +14,9 @@
 - Capacity rule.  Parts partner at most C_max(size) singletons each,
   proved in the _Search docstring; _Search.capacity proves the walk that
   counts C_max and records the completer tables the search reads.
+- Hub rule.  A part 0 that r parts must partner meets every hit set of
+  fewer than r vertices (ld.small_hit_sets), proved in the _Search
+  docstring.
 """
 
 from __future__ import annotations
@@ -43,7 +46,9 @@ from .ld import (
     is_dominating,
     is_ld_mask,
     ld_breakers,
+    small_hit_sets,
 )
+from .oracles import _valid_coalition_partition, c_l_oracle  # c_l_oracle is re-exported
 
 SCHEMA_VERSION = 1
 
@@ -159,13 +164,14 @@ def type_labels(sizes: tuple[int, ...], gamma: int, max_partners: int) -> frozen
     k = len(sizes)
     if k == 1 or sizes[0] + sizes[-1] < gamma:
         return frozenset({1})
-    if k == 2:
-        forced = 1
-    else:
-        forced = (sizes[1] + sizes[2] < gamma) + sum(
-            1 for a in sizes[2:] if sizes[1] + a < gamma
-        )
-    return frozenset({1, 2}) if forced > max_partners else frozenset()
+    return frozenset({1, 2}) if _forced(sizes, gamma) > max_partners else frozenset()
+
+
+def _forced(sizes: tuple[int, ...], gamma: int) -> int:
+    """How many parts type_labels finds forced onto part 0."""
+    if len(sizes) < 3:
+        return len(sizes) - 1
+    return (sizes[1] + sizes[2] < gamma) + sum(sizes[1] + a < gamma for a in sizes[2:])
 
 
 # -- assignment search ---------------------------------------------------
@@ -247,6 +253,16 @@ class _Search(Meter):
     so every later same-size part's least element stays above slot i's,
     which did not rise.  So answers, certificates and the plain
     coalition number are unchanged; only the node count falls.
+
+    Hub rule.  The r = _forced(sizes, gamma) parts that by size can
+    partner only part 0 partner it in any partition of the type.  Let H
+    be a hit set (ld.small_hit_sets): every good set meets it.  If part 0
+    misses H, each of its r disjoint partners meets H, as its union with
+    part 0 is good; so part 0 meets every H of fewer than r vertices.
+    Slot 0 skips the parts that miss one before counting a node, and if
+    a greedy packing finds more than sizes[0] disjoint such H, the type
+    is refuted before any C_max walk.  Soundness needs only that each H
+    is a hit set; one the builder missed would only weaken the prune.
     """
 
     def __init__(self, g: Graph, good, breakers, gamma: int, budget: Optional[Budget] = None):
@@ -262,8 +278,10 @@ class _Search(Meter):
         self._listed: dict[int, tuple[list[int], list[int]]] = {}
         self._judged = _Completers(lambda p: completers(g, p, good))
         self._no_completers = _Completers()
+        twins = lower_twins(g)
         # lower twins by vertex bit; twin-free: no check
-        self.twins = {1 << v: t for v, t in enumerate(lower_twins(g)) if t} or None
+        self.twins = {1 << v: t for v, t in enumerate(twins) if t} or None
+        self.hit_sets = functools.cache(lambda: small_hit_sets(g, good, breakers, twins))
 
     def completer_table(self, size: int) -> _Completers:
         """Completer masks of the rejected parts of one size: the walk's
@@ -365,6 +383,15 @@ class _Search(Meter):
         twins = self.twins
         tick = self._tick
         k = len(sizes)
+        r = _forced(sizes, gamma)
+        hubs = [h for h in self.hit_sets() if h.bit_count() < r] if r > 1 else []
+        packed = spent = 0
+        for h in hubs:
+            if not h & spent:
+                spent |= h
+                packed += 1
+        if packed > sizes[0]:
+            return None
         singles_after = [0] * (k + 1)
         for i in range(k - 1, -1, -1):
             singles_after[i] = singles_after[i + 1] + (1 if sizes[i] == 1 else 0)
@@ -411,6 +438,8 @@ class _Search(Meter):
                     cands = self.parts_within(size, free)
             if cands is None:
                 cands = map(sum, combinations(avail, size))
+            if hubs and not i:
+                cands = (m for m in cands if all(h & m for h in hubs))
             for m in cands:
                 if watch and any(u & ~m for b, u in watch.items() if b & m):
                     continue
@@ -558,72 +587,6 @@ def c_l_at_least(
     if rep.status != "exact":
         rep.c_l = None
     return rep
-
-
-# -- naive oracles (testing / small cases) -------------------------------
-
-
-def _set_partitions(n: int) -> Iterator[list[int]]:
-    """All set partitions of range(n) as restricted growth strings."""
-
-    def rec(i: int, rgs: list[int], blocks: int):
-        if i == n:
-            yield rgs[:]
-            return
-        for b in range(blocks + 1):
-            rgs.append(b)
-            yield from rec(i + 1, rgs, max(blocks, b + 1))
-            rgs.pop()
-
-    yield from rec(0, [], 0)
-
-
-def _rgs_masks(rgs: list[int]) -> list[int]:
-    k = max(rgs) + 1
-    masks = [0] * k
-    for v, b in enumerate(rgs):
-        masks[b] |= 1 << v
-    return masks
-
-
-def _valid_coalition_partition(
-    g: Graph, masks: list[int], good, singletons_alone: bool
-) -> bool:
-    for idx, m in enumerate(masks):
-        if good(g, m):
-            if singletons_alone and popcount(m) == 1:
-                continue
-            return False
-        if not any(
-            j != idx and not good(g, other) and good(g, m | other)
-            for j, other in enumerate(masks)
-        ):
-            return False
-    return True
-
-
-def c_l_oracle(g: Graph, good=None) -> Union[int, str]:
-    """Unpruned all-partitions maximum; reference oracle for small n.
-
-    With no predicate this is C_L by its definition: every part is non-LD
-    and has a partner, so K_1 and K_2 get "none".  Given a predicate, it
-    is the coalition number of that predicate in the plain sense, where a
-    singleton satisfying the predicate may also stand alone as a part;
-    good=is_dominating gives the plain coalition number.
-    """
-    if g.n == 0:
-        raise ValueError("the coalition number of the empty graph is undefined")
-    singletons_alone = good is not None
-    if good is None:
-        good = is_ld_mask
-    best = 0
-    for rgs in _set_partitions(g.n):
-        masks = _rgs_masks(rgs)
-        if len(masks) > best and _valid_coalition_partition(
-            g, masks, good, singletons_alone
-        ):
-            best = len(masks)
-    return best if best else "none"
 
 
 def _domination_number(g: Graph, deadline: Optional[float] = None) -> int:

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -126,13 +127,19 @@ def test_budget_env_default(capsys, monkeypatch):
     assert json.loads(out)["status"] == "inconclusive"
 
 
-def test_budget_env_malformed(capsys, monkeypatch):
+def test_budget_env_malformed(capsys, monkeypatch, tmp_path):
     # only the subcommands that take a budget parse the variable, and the
     # error names the variable, not the flag
     monkeypatch.setenv("LDC_BUDGET_SECONDS", "abc")
-    code, out, _ = run(capsys, ["gamma-l", "--family", "path:5"])
-    assert (code, out.splitlines()[0]) == (0, "gamma_l = 2")
-    for argv in (["cl", "--family", "path:5"], ["reproduce", "--only", "paths"]):
+    parts = tmp_path / "parts.txt"
+    parts.write_text("0 2\n1\n3\n4\n")
+    code, out, _ = run(capsys, ["check-partition", "--family", "path:5", str(parts)])
+    assert (code, out.splitlines()[0]) == (0, "valid LDC-partition with 4 parts")
+    for argv in (
+        ["gamma-l", "--family", "path:5"],
+        ["cl", "--family", "path:5"],
+        ["reproduce", "--only", "paths"],
+    ):
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
         assert "LDC_BUDGET_SECONDS" in err and "--budget-seconds" not in err
@@ -143,6 +150,23 @@ def test_budget_env_malformed(capsys, monkeypatch):
     monkeypatch.setenv("LDC_BUDGET_SECONDS", "")
     code, out, _ = run(capsys, ["cl", "--family", "path:5"])
     assert (code, json.loads(out)["c_l"]) == (0, 4)
+
+
+def test_gamma_l_budget(capsys, monkeypatch):
+    # gamma_l(prism(16)) searches for about 4 s on a 2-core VM; the
+    # budget stops it with exit 4, from the flag or the variable
+    start = time.monotonic()
+    code, out, err = run(capsys, ["gamma-l", "--family", "prism:16", "--budget-seconds", "0.1"])
+    assert (code, out, err) == (4, "", "error: time budget exceeded\n")
+    monkeypatch.setenv("LDC_BUDGET_SECONDS", "0.1")
+    code, out, _ = run(capsys, ["gamma-l", "--family", "prism:16"])
+    assert (code, out) == (4, "")
+    assert time.monotonic() - start < 1.5
+    code, out, _ = run(capsys, ["gamma-l", "--family", "cycle:7", "--budget-seconds", "60"])
+    assert (code, out) == (0, "gamma_l = 3\nwitness = {0, 2, 4}\n")
+    with pytest.raises(SystemExit) as info:
+        main(["gamma-l", "--family", "cycle:7", "--budget-nodes", "5"])
+    assert info.value.code == 2
 
 
 @pytest.mark.parametrize(

@@ -35,10 +35,9 @@ from locdom.ld import (
     minimalize_ld_set,
     singleton_completers,
 )
+from locdom.oracles import _rgs_masks, _set_partitions
 from locdom.solver import (
-    _rgs_masks,
     _Search,
-    _set_partitions,
     c_l_exact,
     c_l_numeric,
     c_l_oracle,
@@ -396,6 +395,34 @@ def test_breaker_walks_keep_the_walk_tables(g, kernels):
         assert fast.capacity(t) == plain.capacity(t)
     assert fast.tables == plain.tables
     assert fast.nodes == plain.nodes
+
+
+def hit_sets_by_definition(g, good):
+    """The minimal hit sets of at most two vertices, by brute force: the H
+    with good rejecting V - H and accepting V - H' for every proper H'."""
+    full = g.full_mask()
+    hit = [not good(g, full ^ 1 << v) for v in range(g.n)]
+    ones = [1 << v for v in range(g.n) if hit[v]]
+    pairs = [
+        1 << u | 1 << v
+        for u, v in combinations(range(g.n), 2)
+        if not (hit[u] or hit[v] or good(g, full ^ (1 << u | 1 << v)))
+    ]
+    return ones + sorted(pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(min_n=1, max_n=8), st.sampled_from(PREDICATES))
+@example(path(12), PREDICATES[0])
+@example(path(12), PREDICATES[1])
+@example(cycle(12), PREDICATES[0])
+@example(cycle(12), PREDICATES[1])
+@example(spider(1, 1, 3), PREDICATES[0])
+@example(spider(1, 1, 3), PREDICATES[1])
+def test_small_hit_sets_are_the_minimal_ones(g, kernels):
+    # the degree-1 and twin candidates miss no minimal hit set of size 2
+    good, _, breakers = kernels
+    assert ld.small_hit_sets(g, good, breakers, lower_twins(g)) == hit_sets_by_definition(g, good)
 
 
 def accumulation_walk(g, good, breakers, t):

@@ -20,6 +20,7 @@ from locdom.ld import (
     is_ld_mask,
     ld_breakers,
 )
+from locdom.oracles import _rgs_masks, _set_partitions
 from locdom.solver import (
     Budget,
     c_l_at_least,
@@ -123,7 +124,7 @@ def test_search_judges_each_mask_once(monkeypatch):
 
     monkeypatch.setattr(solver, "is_ld_mask", counted)
     rep = c_l_exact(path(12))
-    assert (rep.c_l, rep.nodes_explored) == (5, 326)
+    assert (rep.c_l, rep.nodes_explored) == (5, 320)
     assert calls < 5000
     assert c_l_exact(cycle(12)).nodes_explored == 210
     rep = c_l_exact(cycle(15))
@@ -145,12 +146,14 @@ def test_certificates_are_frozen_on_the_census():
 
 def test_twin_rule_prunes_leaves_on_one_support_vertex():
     # 2, 3 and 4 are leaves on vertex 0, so twins; the twin rule cuts the
-    # search from 10,765 nodes to 4,133 and leaves the certificate alone
+    # search from 10,765 nodes to 4,133, and the hub rule, whose hit sets
+    # include the twin pairs and the leaf pairs {l, 0}, to 625 (625 with
+    # the hub rule alone too); neither changes the certificate
     edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (5, 7), (5, 8), (7, 9)]
     doc = c_l_exact(Graph(10, edges)).to_json_dict()
     assert doc["c_l"] == 3
     assert doc["parts"] == [[0, 1, 2, 3, 4, 5, 6, 8], [7], [9]]
-    assert doc["nodes_explored"] == 4_133
+    assert doc["nodes_explored"] == 625
 
 
 def test_budget_exhaustion():
@@ -200,7 +203,7 @@ def test_capacity_rule_refutes_before_searching():
     assert walk.capacity(6) == 2
     assert search.nodes == walk.nodes == 938
     # every count includes the walks
-    assert c_l_exact(path(15)).nodes_explored == 28_852
+    assert c_l_exact(path(15)).nodes_explored == 28_562
 
 
 def test_parts_below_gamma_minus_one_cost_no_node():
@@ -249,7 +252,7 @@ def test_finished_walks_stand_in_for_the_completer_kernel(monkeypatch):
     monkeypatch.setattr(solver, "_Search", Watched)
     monkeypatch.setattr(solver, "completers", judged)
     rep = c_l_exact(path(14))
-    assert (rep.c_l, rep.nodes_explored) == (5, 744)
+    assert (rep.c_l, rep.nodes_explored) == (5, 738)
     assert sorted(searches[-1].tables) == [5]
     assert set(asked) == {10}
 
@@ -476,7 +479,7 @@ def d_loc_brute_force(g):
     # the most parts of any set partition into LD-sets
     return max(
         len(masks)
-        for masks in map(solver._rgs_masks, solver._set_partitions(g.n))
+        for masks in map(_rgs_masks, _set_partitions(g.n))
         if all(is_ld_mask(g, m) for m in masks)
     )
 
@@ -510,6 +513,30 @@ def test_disconnected_graphs_match_the_oracles():
             if n <= 6:
                 assert d_loc(g).k == d_loc_brute_force(g), g
     assert checked == 256
+
+
+def test_hub_rule_keeps_every_tree_answer():
+    # trees are the hub rule's family: every leaf and its support vertex
+    # are a hit set; on each tree of order <= 8 both searches agree with
+    # their unpruned oracles
+    for n in range(1, 9):
+        for g in enumerate_trees(n):
+            rep = c_l_exact(g)
+            assert rep.c_l == c_l_oracle(g), g
+            assert rep.certificate is None or rep.certificate.verify(g)
+            assert plain_coalition_number(g) == c_l_oracle(g, is_dominating), g
+
+
+def test_hub_rule_settles_the_order_16_tree():
+    # a random recursive tree with gamma_l = 8 whose k = 5 types, such as
+    # (6, 4, 2, 2, 2), took 12,090,236 nodes (13.5 s on a 2-core VM)
+    # before the hub rule: part 0 must meet each leaf-and-support pair
+    edges = [(1, 0), (2, 1), (3, 0), (4, 2), (5, 4), (6, 5), (7, 1), (8, 2),
+             (9, 2), (10, 5), (11, 10), (12, 7), (13, 1), (14, 1), (15, 14)]
+    g = Graph(16, edges)
+    rep = c_l_exact(g)
+    assert (rep.c_l, rep.nodes_explored) == (4, 304_361)
+    assert rep.certificate.verify(g)
 
 
 def test_numeric_projection():

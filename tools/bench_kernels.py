@@ -54,6 +54,13 @@ node: where a change removes walk nodes, the nodes left cost more each.
 walk_nodes counts the ticks of the C_max walks and early_walks the walks
 that stopped before the end (their size gets no table), both in a
 second, untimed pass that wraps solver._Search.capacity.
+
+Trees: seconds of c_l_exact, gamma_l search included, summed over fresh
+copies of the 106 trees of order 10 (enumerate_trees(10)), and on one
+random recursive tree of order 16 (TREE16: gamma_l 8, C_L 4) whose k = 5
+types were the solver's costliest tree refutation; with nodes, the
+summed nodes_explored, and walk_nodes, the ticks of the C_max walks,
+counted in the timed pass by wrapping solver._Search.capacity.
 """
 
 from __future__ import annotations
@@ -71,6 +78,8 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 TREE10 = [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (2, 6), (6, 7), (3, 8), (8, 9)]
+TREE16 = [(1, 0), (2, 1), (3, 0), (4, 2), (5, 4), (6, 5), (7, 1), (8, 2),
+          (9, 2), (10, 5), (11, 10), (12, 7), (13, 1), (14, 1), (15, 14)]
 MASKS = 20_000
 ROUNDS = 7
 INNER = 3  # the fastest of INNER passes over the masks counts
@@ -273,6 +282,42 @@ def _solve_deep() -> dict:
     return out
 
 
+def _trees() -> dict:
+    from locdom import solver
+    from locdom.census import enumerate_trees
+    from locdom.graph import Graph
+
+    builds = {
+        "tree10": lambda: [Graph(g.n, g.edges()) for g in enumerate_trees(10)],
+        "tree16": lambda: [Graph(16, TREE16)],
+    }
+    capacity = solver._Search.capacity
+    walk = [0]
+
+    def counted_capacity(self, t):
+        n0 = self.nodes
+        try:
+            return capacity(self, t)
+        finally:
+            walk[0] += self.nodes - n0
+
+    out = {}
+    solver._Search.capacity = counted_capacity
+    try:
+        for name, build in builds.items():
+            graphs = build()
+            walk[0] = nodes = 0
+            t0 = time.perf_counter()
+            for g in graphs:
+                nodes += solver.c_l_exact(g).nodes_explored
+            out[f"{name}.c_l_exact_s"] = time.perf_counter() - t0
+            out[f"{name}.nodes"] = nodes
+            out[f"{name}.walk_nodes"] = walk[0]
+    finally:
+        solver._Search.capacity = capacity
+    return out
+
+
 def _in_ref_units(section: dict, ref_s: float) -> dict:
     """The section with each timing's twin in reference-slice units."""
     out = {}
@@ -295,6 +340,7 @@ def _measure() -> dict:
         "census": _census,
         "solve": _solve,
         "solve_deep": _solve_deep,
+        "trees": _trees,
     }
     slices = [reference_slice()]
     out = {}

@@ -4,6 +4,7 @@ Usage, from the repository root, with OLD a checkout of the commit to
 compare against:
 
     python3 tools/compare_reports.py --before OLD/src --after src
+    python3 tools/compare_reports.py --before OLD/src --after src --nodes-may-fall
 
 Each side runs in a fresh interpreter that has only its own source tree
 on its path, and prints one record per call.  A record is the call's
@@ -19,7 +20,10 @@ plain_coalition_number, its value.  The calls:
 - plain_coalition_number on every graph of order <= 6.
 
 Exits 1 and prints the first call whose records differ, or exits 0 and
-prints the number of calls compared.
+prints the number of calls compared.  With --nodes-may-fall, for a change
+that only prunes more, a SolveReport record may differ in nodes_explored
+alone, and only downward: every answer, bound, certificate and status
+must still be equal.  The node totals of both sides are printed too.
 """
 
 from __future__ import annotations
@@ -87,6 +91,10 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--before", help="source tree (the directory holding locdom) of the old side")
     ap.add_argument("--after", help="source tree of the new side")
+    ap.add_argument(
+        "--nodes-may-fall", action="store_true",
+        help="let nodes_explored fall, never rise; everything else must be equal",
+    )
     ap.add_argument("--measure", help=argparse.SUPPRESS)  # child: one side
     args = ap.parse_args()
     if args.measure:
@@ -101,13 +109,19 @@ def main() -> None:
         ap.error("--before and --after are required")
     before, after = _records(args.before), _records(args.after)
     for old, new in zip(before, after):
+        if args.nodes_may_fall and isinstance(old[1], dict) and isinstance(new[1], dict):
+            old_rest, new_rest = dict(old[1]), dict(new[1])
+            if old_rest.pop("nodes_explored") >= new_rest.pop("nodes_explored"):
+                old, new = [old[0], old_rest], [new[0], new_rest]
         if old != new:
             print(f"before {old[0]}: {json.dumps(old[1])}\nafter  {new[0]}: {json.dumps(new[1])}")
             sys.exit(1)
     if len(before) != len(after):
         print(f"the sides made {len(before)} and {len(after)} calls")
         sys.exit(1)
-    print(f"{len(before)} calls compared, all equal")
+    nodes = [sum(r[1]["nodes_explored"] for r in side if isinstance(r[1], dict)) for side in (before, after)]
+    same = "equal but for nodes_explored, which never rose" if args.nodes_may_fall else "equal"
+    print(f"{len(before)} calls compared, all {same}; nodes_explored {nodes[0]:,} -> {nodes[1]:,}")
 
 
 if __name__ == "__main__":

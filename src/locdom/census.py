@@ -3,10 +3,13 @@
 Every graph, connected graph and tree of order m+1 arises from one of
 order m by adding vertex m with some neighbourhood: any, any non-empty
 one, or a single vertex.  So one loop serves all three censuses: it
-augments every class representative of order m with each allowed
-neighbourhood and keeps the first graph of each canonical key, which
-yields exactly one representative per class.  A Prüfer-sequence generator
-for labeled trees doubles as an independent cross-check at small orders.
+augments every class representative of order m with one allowed
+neighbourhood per orbit of its automorphism group (McKay's orbit pruning;
+automorphic neighbourhoods give isomorphic graphs) and keeps the first
+graph of each canonical key, which yields exactly one representative per
+class, the same ones in the same order as augmenting with every allowed
+neighbourhood would.  A Prüfer-sequence generator for labeled trees
+doubles as an independent cross-check at small orders.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import heapq
 from itertools import product
 from typing import Callable, Iterable, Iterator
 
-from .canon import canonical_key
+from .canon import canonical_key, canonical_search, orbit_leaders
 from .graph import Graph, bits_of
 
 MAX_CENSUS_ORDER = 7
@@ -33,8 +36,25 @@ def _grow(
     n: int, kind: str, parents: Callable[[], list[Graph]], nbhds: Iterable[int]
 ) -> list[Graph]:
     """The census of order n named kind: vertex n - 1 joins every
-    representative of order n - 1 (from parents) with every neighbourhood
-    mask in nbhds, keeping the first graph of each canonical key."""
+    representative P of order n - 1 (from parents) with the first
+    neighbourhood mask in nbhds of each orbit of the group that
+    canonical_search(P)'s generators generate, keeping the first graph of
+    each canonical key.  nbhds must be closed under every permutation of
+    the n - 1 old vertices; each set of masks defined by size alone is.
+
+    1. If s is an automorphism of P, P + N and P + s(N) are isomorphic
+       (s, fixing the new vertex, maps one onto the other).  So any
+       group of automorphisms, a subgroup included, loses no class: this
+       needs only that each generator is an automorphism.
+    2. The first candidate (P, N) of each class, in the unpruned order
+       (parents, then masks in nbhds order), is the first of its orbit:
+       an earlier mask of the orbit would give an earlier candidate of
+       the class.  So the pruned loop meets every class's first candidate
+       first, and keeps the same representatives in the same order.
+    3. The generators generate all of Aut(P) (canonical_search), so no
+       two kept masks of one parent are automorphic: the pruning is the
+       most orbits allow.
+    """
     if n < 1:
         raise ValueError("order must be positive")
     if (n, kind) not in _cache:
@@ -44,7 +64,8 @@ def _grow(
             first: dict = {}
             for parent in parents():
                 base = parent.edges()
-                for nbhd in nbhds:
+                # searched again, so no representative carries generators
+                for nbhd in orbit_leaders(canonical_search(parent)[1], nbhds):
                     g = Graph(n, base + [(v, n - 1) for v in bits_of(nbhd)])
                     first.setdefault(canonical_key(g), g)
             reps = list(first.values())

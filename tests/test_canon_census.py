@@ -20,7 +20,7 @@ from locdom.census import (
 )
 from locdom.cubic import prism
 from locdom.families import complete, complete_bipartite, cycle, path, star
-from locdom.graph import Graph
+from locdom.graph import Graph, bits_of
 
 
 def test_canonical_key_matches_naive_small():
@@ -83,7 +83,7 @@ def test_connected_census_counts():
 
 
 def test_all_graph_census_counts():
-    for n in range(1, 7):
+    for n in range(1, 8):
         got = len(enumerate_graphs(n, connected_only=False))
         assert got == ALL_GRAPH_COUNTS[n - 1]
 
@@ -91,6 +91,37 @@ def test_all_graph_census_counts():
 def test_tree_census_counts():
     for n in range(1, 11):
         assert len(enumerate_trees(n)) == TREE_COUNTS[n - 1]
+
+
+def full_augmentation(order, nbhds):
+    """The census loop without orbit pruning, from order 1 to order:
+    every representative of order m joins vertex m with every mask in
+    nbhds(m), keeping the first graph of each canonical key."""
+    reps = [Graph(1, [])]
+    censuses = [reps]
+    for m in range(1, order):
+        first = {}
+        for parent in reps:
+            base = parent.edges()
+            for nbhd in nbhds(m):
+                g = Graph(m + 1, base + [(v, m) for v in bits_of(nbhd)])
+                first.setdefault(canonical_key(g), g)
+        reps = list(first.values())
+        censuses.append(reps)
+    return censuses
+
+
+def test_orbit_pruned_census_matches_full_augmentation():
+    # Orbit pruning must keep exactly the representatives, in the same
+    # order, that augmenting every neighbourhood keeps.
+    cases = (
+        (7, lambda m: range(1, 1 << m), enumerate_graphs),
+        (6, lambda m: range(1 << m), lambda n: enumerate_graphs(n, connected_only=False)),
+        (10, lambda m: [1 << v for v in range(m)], enumerate_trees),
+    )
+    for order, nbhds, census in cases:
+        for n, reps in enumerate(full_augmentation(order, nbhds), 1):
+            assert [(g.n, g.adj) for g in census(n)] == [(g.n, g.adj) for g in reps]
 
 
 def test_trees_agree_with_prufer_enumeration():

@@ -1,13 +1,14 @@
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from locdom import ld, solver
-from locdom.canon import canonical_key, tree_canonical_key
-from locdom.families import cycle, path, spider
+from locdom.canon import canonical_key, canonical_search, orbit_leaders, tree_canonical_key
+from locdom.cubic import prism
+from locdom.families import complete_bipartite, cycle, path, spider
 from locdom.graph import (
     Graph,
     VertexSet,
@@ -133,6 +134,53 @@ def test_canonical_key_agrees_with_networkx_on_degree_mates(g, data):
     gx.add_edges_from(g.edges())
     hx.add_edges_from(h.edges())
     assert (canonical_key(g) == canonical_key(h)) == nx.is_isomorphic(gx, hx)
+
+
+def vertex_orbits(n, perms):
+    """The orbits, as sorted tuples, of the group that perms generate."""
+    orbit = {v: {v} for v in range(n)}
+    for p in perms:
+        for v in range(n):
+            if orbit[v] is not orbit[p[v]]:
+                merged = orbit[v] | orbit[p[v]]
+                for u in merged:
+                    orbit[u] = merged
+    return {tuple(sorted(o)) for o in orbit.values()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(min_n=1, max_n=7))
+@example(prism(4))
+@example(complete_bipartite(4, 4))
+@example(cycle(8))
+def test_canonical_search_generates_the_automorphism_group(g):
+    # Against brute force over all n! permutations: every generator is an
+    # automorphism, and the group they generate is all of Aut(g), so its
+    # vertex orbits are Aut's.  orbit_leaders on the singletons gives the
+    # least vertex of each orbit.
+    n = g.n
+    edges = set(g.edges())
+    auts = {
+        p
+        for p in permutations(range(n))
+        if all(tuple(sorted((p[u], p[v]))) in edges for u, v in edges)
+    }
+    key, gens = canonical_search(g)
+    assert key == canonical_key(g)
+    assert {tuple(p) for p in gens} <= auts
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        q = frontier.pop()
+        for p in gens:
+            r = tuple(p[q[v]] for v in range(n))
+            if r not in group:
+                group.add(r)
+                frontier.append(r)
+    assert group == auts
+    orbits = vertex_orbits(n, auts)
+    assert vertex_orbits(n, gens) == orbits
+    assert orbit_leaders(gens, [1 << v for v in range(n)]) == sorted(1 << o[0] for o in orbits)
 
 
 @settings(max_examples=60, deadline=None)

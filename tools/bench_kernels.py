@@ -26,9 +26,12 @@ looped over one fixed list of uniformly random masks (random.Random(0),
 the same on both sides) on a 10-vertex tree, P_15 and C_20.  The loop and
 the call are inside the figure.
 
-Census: enumerate_graphs(7) and enumerate_trees(10), then gamma_l, d_loc
-and c_l_exact on each of the 959 graphs, as the census-small benchmark
-workload does at seed 0, each call timed on its own.  The C_max walk is
+Census: enumerate_graphs(7) and enumerate_trees(10), each timed on its
+own, then gamma_l, d_loc and c_l_exact on each of the 959 graphs, as the
+census-small benchmark workload does at seed 0, each call timed on its
+own.  key_searches counts the canonical searches the two enumerations
+run: the census module's calls of canonical_key (one per candidate) and,
+where it has it, of canonical_search (one per parent).  The C_max walk is
 timed inside c_l_exact by wrapping solver._Search.capacity; nodes are the
 summed nodes_explored, walk nodes the ticks the walks took, and
 colex_searches the calls of ld._colex_least_ld (one per cardinality
@@ -108,12 +111,12 @@ def _kernels() -> dict:
 
 
 def _census() -> dict:
-    from locdom import ld, solver
-    from locdom.census import enumerate_graphs, enumerate_trees
+    from locdom import census, ld, solver
 
     clock = time.perf_counter
     walk = {"s": 0.0, "nodes": 0}
     searches = [0]
+    keyed = [0]
     capacity = solver._Search.capacity
     colex_least_ld = ld._colex_least_ld
 
@@ -131,11 +134,29 @@ def _census() -> dict:
         searches[0] += 1
         return colex_least_ld(g, k, *deadline)
 
+    def keying(search):
+        def counted_search(g):
+            keyed[0] += 1
+            return search(g)
+
+        return counted_search
+
+    for name in ("canonical_key", "canonical_search"):
+        if hasattr(census, name):
+            setattr(census, name, keying(getattr(census, name)))
     solver._Search.capacity = timed_capacity
     ld._colex_least_ld = counted
     t0 = clock()
-    graphs = enumerate_graphs(7) + enumerate_trees(10)
-    phases = {"enumerate_s": clock() - t0, "gamma_l_s": 0.0, "d_loc_s": 0.0, "c_l_exact_s": 0.0}
+    graphs = census.enumerate_graphs(7)
+    t1 = clock()
+    graphs += census.enumerate_trees(10)
+    phases = {
+        "enumerate_graphs_s": t1 - t0,
+        "enumerate_trees_s": clock() - t1,
+        "gamma_l_s": 0.0,
+        "d_loc_s": 0.0,
+        "c_l_exact_s": 0.0,
+    }
     nodes = 0
     for g in graphs:
         for key, fn in (("gamma_l_s", ld.gamma_l), ("d_loc_s", ld.d_loc), ("c_l_exact_s", solver.c_l_exact)):
@@ -147,6 +168,7 @@ def _census() -> dict:
         **phases,
         "cmax_walk_s": walk["s"],
         "graphs": len(graphs),
+        "key_searches": keyed[0],
         "nodes": nodes,
         "cmax_walk_nodes": walk["nodes"],
         "colex_searches": searches[0],
